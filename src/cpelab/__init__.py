@@ -33,7 +33,6 @@ from .errors import (
     QNegativityWarning,
     SigmaPositivityLost,
     StabilityFault,
-    SymmetryFault,
     UsageFault,
 )
 from .fields import COS, SIN, ZLIN, ScalarField2D, ScalarField3D, State, VectorField3D2C
@@ -49,13 +48,6 @@ from .integrators import (
     stable_dt,
 )
 from .norms import EnergyReport, difference_norm, energy_report, sobolev_norm
-from .parabolic import (
-    ParabolicProblem,
-    advance_parabolic,
-    even_extend,
-    restrict,
-    solve_channel_parabolic,
-)
 from .params import PhysParams
 from .tendencies import (
     StateTendency,
@@ -81,7 +73,6 @@ __all__ = [
     "IoFault",
     "NoContraction",
     "NumericalFault",
-    "ParabolicProblem",
     "ParseFault",
     "PhysParams",
     "PicardReport",
@@ -97,19 +88,16 @@ __all__ = [
     "StabilityFault",
     "State",
     "StateTendency",
-    "SymmetryFault",
     "UsageFault",
     "VectorField3D2C",
     "ZLIN",
     "advance",
-    "advance_parabolic",
     "frozen_sources",
     "boundary_defects",
     "compute_diagnostics",
     "continuity_residual",
     "difference_norm",
     "energy_report",
-    "even_extend",
     "heating",
     "make_initial",
     "perturbation_direction",
@@ -121,9 +109,7 @@ __all__ = [
     "picard_solve",
     "reconstruct_thermo",
     "regularized_tendency",
-    "restrict",
     "sobolev_norm",
-    "solve_channel_parabolic",
     "stable_dt",
     "total_mass",
     "vertical_velocity",

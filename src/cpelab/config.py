@@ -271,17 +271,14 @@ def load_config(path) -> RunConfig:
         dt = rn.flt("dt", None)
         if dt is not None and dt <= 0:
             raise ConstraintFault("run.dt", "dt must be positive or 'auto'")
-    try:
-        run = RunOptions(
-            t_final=rn.flt("t_final", 0.1),
-            dt=dt,
-            record_every=rn.intg("record_every", 1),
-            cfl=rn.flt("cfl", 1.0),
-            tol_bc=rn.flt("tol_bc", 1e-11),
-            fault_floor=rn.flt("fault_floor", 1e-8),
-        )
-    except ValueError as exc:
-        raise ConstraintFault("run", str(exc)) from exc
+    run = RunOptions(
+        t_final=rn.flt("t_final", 0.1),
+        dt=dt,
+        record_every=rn.intg("record_every", 1),
+        cfl=rn.flt("cfl", 1.0),
+        tol_bc=rn.flt("tol_bc", 1e-11),
+        fault_floor=rn.flt("fault_floor", 1e-8),
+    )
 
     es = sec("eps_sweep")
     eps_sweep = EpsSweepSpec(

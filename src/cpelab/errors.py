@@ -29,10 +29,6 @@ class PressurePositivityLost(CpeError):
     """min(p) fell to or below the fault floor."""
 
 
-class SymmetryFault(CpeError):
-    """Even symmetry of an extended field drifted past threshold."""
-
-
 class StabilityFault(CpeError):
     """Norm grew more than 10x in a single step: the step size is unstable."""
 

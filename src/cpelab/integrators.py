@@ -17,17 +17,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diagnostics import boundary_defects, compute_diagnostics, total_mass
-from .errors import CpeError, NoContraction, StabilityFault
+from .errors import ConstraintFault, CpeError, NoContraction, StabilityFault
 from .fields import ScalarField2D, ScalarField3D, State, VectorField3D2C
-from .norms import EnergyReport, energy_report, sobolev_norm
+from .norms import EnergyReport, energy_report, nodal_l2, sobolev_norm
 from .params import PhysParams
 from .parabolic import advance_coupled_linear
 from .spectral import ddz
 from .tendencies import (
     StateTendency,
-    frozen_sources,
     check_positivity,
+    frozen_sources,
     regularized_tendency,
+    rk4_step,
 )
 
 
@@ -43,11 +44,11 @@ class RunOptions:
 
     def __post_init__(self):
         if not self.t_final > 0.0:
-            raise ValueError("t_final must be positive")
+            raise ConstraintFault("t_final", "must be positive")
         if self.dt is not None and not self.dt > 0.0:
-            raise ValueError("dt must be positive")
+            raise ConstraintFault("dt", "must be positive")
         if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
+            raise ConstraintFault("record_every", "must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -87,24 +88,6 @@ def stable_dt(state: State, params: PhysParams, cfl: float = 1.0) -> float:
     return cfl / denom
 
 
-def _lincomb(base: State, t: float, *terms) -> State:
-    """base + sum coef * tendency, with the given new time."""
-    v = base.v.data.copy()
-    s = base.sigma.data.copy()
-    p = base.p.data.copy()
-    for coef, tend in terms:
-        v += coef * tend.dv.data
-        s += coef * tend.dsigma.data
-        p += coef * tend.dp.data
-    g = base.grid
-    return State(
-        VectorField3D2C(g, v, base.v.parity),
-        ScalarField3D(g, s, base.sigma.parity),
-        ScalarField2D(g, p),
-        t=t,
-    )
-
-
 def _with_forcing(tend: StateTendency, forcing, t: float, grid) -> StateTendency:
     if forcing is None:
         return tend
@@ -113,12 +96,6 @@ def _with_forcing(tend: StateTendency, forcing, t: float, grid) -> StateTendency
         dv=VectorField3D2C(grid, tend.dv.data + fv, tend.dv.parity),
         dsigma=ScalarField3D(grid, tend.dsigma.data + fs, tend.dsigma.parity),
         dp=ScalarField2D(grid, tend.dp.data + fp),
-    )
-
-
-def _state_l2(state: State) -> float:
-    return float(
-        np.linalg.norm(state.v.data) + np.linalg.norm(state.sigma.data)
     )
 
 
@@ -144,7 +121,7 @@ def advance(
     diss_dz = 0.0
     fault: CpeError | None = None
 
-    def rhs(s: State) -> StateTendency:
+    def rhs(s: State, stage: int) -> StateTendency:
         return _with_forcing(
             regularized_tendency(s, params, fault_floor=opts.fault_floor),
             forcing,
@@ -171,26 +148,12 @@ def advance(
         warnings.simplefilter("always")
         record(state)
         for n in range(n_steps):
-            t = state.t
             try:
                 diss_v += dt * sobolev_norm(state.v, 4) ** 2
                 diss_dz += dt * sobolev_norm(ddz(state.sigma), 2) ** 2
-                k1 = rhs(state)
-                s1 = _lincomb(state, t + 0.5 * dt, (0.5 * dt, k1))
-                k2 = rhs(s1)
-                s2 = _lincomb(state, t + 0.5 * dt, (0.5 * dt, k2))
-                k3 = rhs(s2)
-                s3 = _lincomb(state, t + dt, (dt, k3))
-                k4 = rhs(s3)
-                new_state = _lincomb(
-                    state,
-                    t + dt,
-                    (dt / 6.0, k1),
-                    (dt / 3.0, k2),
-                    (dt / 3.0, k3),
-                    (dt / 6.0, k4),
-                )
-                before, after = _state_l2(state), _state_l2(new_state)
+                _, _, new_state = rk4_step(state, dt, rhs)
+                before = nodal_l2(state.v, state.sigma)
+                after = nodal_l2(new_state.v, new_state.sigma)
                 if not np.isfinite(after) or after > 10.0 * max(before, 1e-300):
                     raise StabilityFault(
                         f"norm grew {before:.3e} -> {after:.3e} in step {n}"

@@ -123,6 +123,13 @@ def energy_report(
     )
 
 
+def nodal_l2(*fields) -> float:
+    """Sum of the Euclidean norms of the fields' nodal values: the size the
+    step growth detectors compare. np.linalg.norm would go through BLAS and
+    wake its thread pool inside the transform-bound stepping loops."""
+    return sum(math.sqrt(float(np.square(f.data).sum())) for f in fields)
+
+
 def log_energy_slope(reports) -> float:
     """Least-squares slope of log E(t); finite growth rate along a trajectory."""
     ts = np.array([r.t for r in reports])

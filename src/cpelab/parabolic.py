@@ -1,360 +1,21 @@
-"""Linear variable-coefficient parabolic solves on the doubled torus.
+"""The frozen-coefficient linear sweep behind the Picard solution map.
 
-Channel fields with Neumann-compatible (cosine) vertical structure extend
-evenly across z=0 to a torus with z-period 2; the model problem
-
-    d_t u - a Lap u - b grad_h div_h u = f
-
-is advanced there with RK4 and dealiased coefficient products, then
-restricted back. Torus products retain exactly the same mode set as the
-channel-side parity products, so linear solves driven by frozen samples of
-a nonlinear trajectory reproduce that trajectory's stepping exactly at the
-fixed point.
+The three linear problems share RK4 and the channel parity products with
+the nonlinear tendency, so a sweep driven by frozen samples of a nonlinear
+RK4 trajectory reproduces that trajectory's stepping at the fixed point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Union
-
 import numpy as np
-from scipy import fft as sfft
 
-from .errors import ConstraintFault, StabilityFault, SymmetryFault, UsageFault
-from .fields import COS, ScalarField2D, ScalarField3D, State, VectorField3D2C
-from .grid import Grid, _fine_size, fft_workers
+from .errors import StabilityFault
+from .fields import State
+from .norms import nodal_l2
 from .params import PhysParams
-from .spectral import laplacian_h
+from .tendencies import frozen_tendency, rk4_step
 
-SYM_TOL = 1e-10
 STABILITY_GROWTH = 10.0
-
-
-# ---------------------------------------------------------------------------
-# even extension
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ExtendedField:
-    """z-periodic (period 2) even extension; data (..., nx, ny, 2 nz)."""
-
-    grid: Grid
-    data: np.ndarray
-
-    def symmetry_defect(self) -> float:
-        return float(np.abs(self.data - _mirror(self.data)).max())
-
-
-def _mirror(a: np.ndarray) -> np.ndarray:
-    return np.roll(a[..., ::-1], 1, axis=-1)
-
-
-def _extend_data(a: np.ndarray, nz: int) -> np.ndarray:
-    out = np.empty(a.shape[:-1] + (2 * nz,))
-    out[..., : nz + 1] = a
-    out[..., nz + 1 :] = a[..., nz - 1 : 0 : -1]
-    return out
-
-
-def _restrict_data(a: np.ndarray, nz: int) -> np.ndarray:
-    return 0.5 * (a[..., : nz + 1] + _mirror(a)[..., : nz + 1])
-
-
-def even_extend(f: Union[ScalarField3D, VectorField3D2C]) -> ExtendedField:
-    if f.parity != COS:
-        raise UsageFault(
-            f"even extension needs Neumann-compatible (cosine) data, got {f.parity!r}"
-        )
-    return ExtendedField(f.grid, _extend_data(f.data, f.grid.nz))
-
-
-def restrict(ext: ExtendedField, tol: float = SYM_TOL, check: bool = True):
-    """Inverse of even_extend (averaging the two half-copies)."""
-    if check:
-        defect = ext.symmetry_defect()
-        if defect >= tol:
-            raise SymmetryFault(f"even-symmetry defect {defect:.3e} >= {tol:.1e}")
-    data = _restrict_data(ext.data, ext.grid.nz)
-    if data.ndim == 4:
-        return VectorField3D2C(ext.grid, data, COS)
-    return ScalarField3D(ext.grid, data, COS)
-
-
-# ---------------------------------------------------------------------------
-# torus spectral operations (z is the real-FFT half axis)
-# ---------------------------------------------------------------------------
-
-
-class TorusOps:
-    def __init__(self, grid: Grid):
-        self.g = grid
-        nx, ny, nz = grid.nx, grid.ny, grid.nz
-        self.kx = np.fft.fftfreq(nx, d=1.0 / nx)
-        self.ky = np.fft.fftfreq(ny, d=1.0 / ny)
-        self.kz = np.pi * np.arange(nz + 1, dtype=float)
-        self.k2 = (
-            self.kx[:, None, None] ** 2
-            + self.ky[None, :, None] ** 2
-            + self.kz[None, None, :] ** 2
-        )
-        self.kh2 = self.kx[:, None, None] ** 2 + self.ky[None, :, None] ** 2
-        self.fx, self.fy = grid.fine_nx, grid.fine_ny
-        self.fzt = _fine_size(2 * nz)
-
-    def spec(self, a: np.ndarray) -> np.ndarray:
-        s = sfft.rfftn(a, axes=(-3, -2, -1), norm="forward", workers=fft_workers())
-        s[..., self.g.nx // 2, :, :] = 0.0
-        s[..., :, self.g.ny // 2, :] = 0.0
-        s[..., :, :, self.g.nz] = 0.0
-        return s
-
-    def nodal(self, s: np.ndarray, fine: bool = False) -> np.ndarray:
-        shape = (self.fx, self.fy, self.fzt) if fine else (
-            self.g.nx, self.g.ny, 2 * self.g.nz
-        )
-        return sfft.irfftn(
-            s, s=shape, axes=(-3, -2, -1), norm="forward", workers=fft_workers()
-        )
-
-    def _corner_assign(self, dst, src, nx, ny, zcols):
-        hx, hy = nx // 2, ny // 2
-        dst[..., :hx, :hy, :zcols] = src[..., :hx, :hy, :zcols]
-        dst[..., :hx, -(hy - 1) :, :zcols] = src[..., :hx, -(hy - 1) :, :zcols]
-        dst[..., -(hx - 1) :, :hy, :zcols] = src[..., -(hx - 1) :, :hy, :zcols]
-        dst[..., -(hx - 1) :, -(hy - 1) :, :zcols] = src[
-            ..., -(hx - 1) :, -(hy - 1) :, :zcols
-        ]
-
-    def pad(self, s: np.ndarray) -> np.ndarray:
-        out = np.zeros(
-            s.shape[:-3] + (self.fx, self.fy, self.fzt // 2 + 1), dtype=complex
-        )
-        self._corner_assign(out, s, self.g.nx, self.g.ny, self.g.nz)
-        return out
-
-    def trunc(self, s: np.ndarray) -> np.ndarray:
-        out = np.zeros(
-            s.shape[:-3] + (self.g.nx, self.g.ny, self.g.nz + 1), dtype=complex
-        )
-        self._corner_assign(out, s, self.g.nx, self.g.ny, self.g.nz)
-        return out
-
-    def laplacian(self, s: np.ndarray) -> np.ndarray:
-        return -self.k2 * s
-
-    def laplacian_h(self, s: np.ndarray) -> np.ndarray:
-        return -self.kh2 * s
-
-    def dzz(self, s: np.ndarray) -> np.ndarray:
-        return -(self.kz**2) * s
-
-    def grad_div(self, s: np.ndarray) -> np.ndarray:
-        """-k_j (k . u) for a vector spectrum (2, nx, ny, nz+1)."""
-        div = self.kx[:, None, None] * s[0] + self.ky[None, :, None] * s[1]
-        return -np.stack([self.kx[:, None, None] * div, self.ky[None, :, None] * div])
-
-    def k2_max(self) -> tuple[float, float]:
-        kxm = self.g.nx // 2 - 1
-        kym = self.g.ny // 2 - 1
-        kh2 = float(kxm**2 + kym**2)
-        return kh2 + (np.pi * self.g.nz) ** 2, kh2
-
-
-class TorusWorkspace:
-    """Per-RHS memo of fine-grid factor samples (same contract as the
-    channel ProductWorkspace: values pin their source arrays)."""
-
-    def __init__(self, ops: TorusOps):
-        self.ops = ops
-        self._fine: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def fine(self, a: np.ndarray) -> np.ndarray:
-        hit = self._fine.get(id(a))
-        if hit is not None:
-            return hit[1]
-        nodal = self.ops.nodal(self.ops.pad(self.ops.spec(a)), fine=True)
-        self._fine[id(a)] = (a, nodal)
-        return nodal
-
-    def product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        fine = self.fine(a) * self.fine(b)
-        return self.ops.nodal(self.ops.trunc(self.ops.spec(fine)))
-
-
-# ---------------------------------------------------------------------------
-# model problem on the torus
-# ---------------------------------------------------------------------------
-
-Coefficient = Union[float, np.ndarray]
-Forcing = Union[None, np.ndarray, Callable[[float], np.ndarray]]
-
-
-@dataclass(frozen=True)
-class ParabolicProblem:
-    """d_t u = a Lap u + b grad_h div_h u + f on the doubled torus.
-
-    ``u0`` is (nx, ny, 2 nz) for scalars or (2, nx, ny, 2 nz) for vectors;
-    coefficients are constants or nodal arrays of the scalar shape.
-    """
-
-    grid: Grid
-    a: Coefficient
-    b: Coefficient
-    u0: np.ndarray
-    T: float
-    f: Forcing = None
-
-    def __post_init__(self):
-        if float(np.min(self.a)) <= 0.0:
-            raise ConstraintFault("a", "diffusion coefficient must be positive")
-        if float(np.min(self.b)) < 0.0:
-            raise ConstraintFault("b", "grad-div coefficient must be nonnegative")
-        if self.T <= 0.0:
-            raise ConstraintFault("T", "horizon must be positive")
-        if self.u0.ndim == 4 and self.u0.shape[0] != 2:
-            raise ConstraintFault("u0", "vector fields carry two components")
-
-
-def _rk4_loop(u, rhs, dt: float, n_steps: int, t0: float = 0.0):
-    """Shared RK4 driver with a per-step instability detector.
-
-    Growth is measured against both the previous norm and the forced scale
-    dt*||k1||, so a legitimate jump out of a near-zero state does not trip
-    the detector while sustained geometric growth does.
-    """
-    for n in range(n_steps):
-        t = t0 + n * dt
-        before = float(np.linalg.norm(u))
-        k1 = rhs(u, t, n, 0)
-        k2 = rhs(u + (0.5 * dt) * k1, t + 0.5 * dt, n, 1)
-        k3 = rhs(u + (0.5 * dt) * k2, t + 0.5 * dt, n, 2)
-        k4 = rhs(u + dt * k3, t + dt, n, 3)
-        u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        after = float(np.linalg.norm(u))
-        floor = max(before, dt * float(np.linalg.norm(k1)), 1e-300)
-        if not np.isfinite(after) or after > STABILITY_GROWTH * floor:
-            raise StabilityFault(
-                f"norm grew {before:.3e} -> {after:.3e} in step {n} (dt={dt:.3e})"
-            )
-    return u
-
-
-def parabolic_dt(ops: TorusOps, a_max: float, b_max: float, cfl: float = 2.0) -> float:
-    k2m, kh2m = ops.k2_max()
-    return cfl / (a_max * k2m + b_max * kh2m)
-
-
-def advance_parabolic(
-    problem: ParabolicProblem, dt: float | None = None, cfl: float = 2.0
-) -> np.ndarray:
-    """Advance the model problem to time T; returns the torus nodal field."""
-    ops = TorusOps(problem.grid)
-    if dt is None:
-        dt = parabolic_dt(ops, float(np.max(problem.a)), float(np.max(problem.b)), cfl)
-    n_steps = max(1, int(np.ceil(problem.T / dt)))
-    dt = problem.T / n_steps
-
-    a_arr = problem.a if isinstance(problem.a, np.ndarray) else None
-    b_arr = problem.b if isinstance(problem.b, np.ndarray) else None
-    vector = problem.u0.ndim == 4
-
-    def forcing_at(t: float):
-        if problem.f is None:
-            return None
-        return problem.f(t) if callable(problem.f) else problem.f
-
-    def rhs(u, t, step, stage):
-        ws = TorusWorkspace(ops)
-        s = ops.spec(u)
-        lap = ops.nodal(ops.laplacian(s))
-        if a_arr is not None:
-            out = ws.product(a_arr, lap) if not vector else np.stack(
-                [ws.product(a_arr, lap[i]) for i in range(2)]
-            )
-        else:
-            out = float(problem.a) * lap
-        if vector:
-            gd = ops.nodal(ops.grad_div(s))
-            if b_arr is not None:
-                out = out + np.stack([ws.product(b_arr, gd[i]) for i in range(2)])
-            else:
-                out = out + float(problem.b) * gd
-        f = forcing_at(t)
-        if f is not None:
-            out = out + f
-        return out
-
-    return _rk4_loop(problem.u0, rhs, dt, n_steps)
-
-
-# ---------------------------------------------------------------------------
-# channel solves (extend, advance, restrict)
-# ---------------------------------------------------------------------------
-
-
-def solve_channel_parabolic(
-    kind: str,
-    u0,
-    sigma_coeff: ScalarField3D,
-    T: float,
-    params: PhysParams,
-    forcing=None,
-    dt: float | None = None,
-    cfl: float = 2.0,
-    sym_tol: float = SYM_TOL,
-):
-    """Advance one frozen-coefficient channel problem.
-
-    kind "v":     d_t V = mu sigma Lap V + (mu+lambda) sigma grad_h div_h V + f
-    kind "sigma": d_t S = nu sigma dzz S + eps Lap_h S + f
-
-    ``forcing`` is a channel field of u0's type (or None). The problem is
-    extended evenly, advanced on the torus, symmetry-checked, restricted.
-    """
-    if kind not in ("v", "sigma"):
-        raise UsageFault(f"unknown channel problem kind {kind!r}")
-    grid = u0.grid
-    ops = TorusOps(grid)
-    sig_ext = even_extend(sigma_coeff).data
-    u_ext = even_extend(u0).data
-    f_ext = even_extend(forcing).data if forcing is not None else None
-    sig_max = float(sig_ext.max())
-    if kind == "v":
-        a_max = params.mu * sig_max
-        b_max = (params.mu + params.lam) * sig_max
-    else:
-        a_max = params.nu * sig_max + params.epsilon
-        b_max = 0.0
-    if dt is None:
-        dt = parabolic_dt(ops, a_max, b_max, cfl)
-    n_steps = max(1, int(np.ceil(T / dt)))
-    dt = T / n_steps
-
-    def rhs(u, t, step, stage):
-        ws = TorusWorkspace(ops)
-        s = ops.spec(u)
-        if kind == "v":
-            lap = ops.nodal(ops.laplacian(s))
-            gd = ops.nodal(ops.grad_div(s))
-            out = np.stack(
-                [
-                    params.mu * ws.product(sig_ext, lap[i])
-                    + (params.mu + params.lam) * ws.product(sig_ext, gd[i])
-                    for i in range(2)
-                ]
-            )
-        else:
-            dzz = ops.nodal(ops.dzz(s))
-            out = params.nu * ws.product(sig_ext, dzz)
-            if params.epsilon != 0.0:
-                out = out + params.epsilon * ops.nodal(ops.laplacian_h(s))
-        if f_ext is not None:
-            out = out + f_ext
-        return out
-
-    u_final = _rk4_loop(u_ext, rhs, dt, n_steps)
-    return restrict(ExtendedField(grid, u_final), tol=sym_tol)
 
 
 def advance_coupled_linear(
@@ -363,7 +24,6 @@ def advance_coupled_linear(
     dt: float,
     n_steps: int,
     sampler,
-    sym_tol: float = SYM_TOL,
     record_stages: bool = True,
 ):
     """Advance the three frozen-coefficient problems in lockstep.
@@ -375,103 +35,29 @@ def advance_coupled_linear(
     including the initial state at index 0. With ``record_stages`` off,
     records[n] holds only the step-start state (shared with ``states``),
     trading stage-exact sampling for a quarter of the memory.
+
+    Growth is measured against both the previous norm and the forced scale
+    dt*||k1||, so a legitimate jump out of a near-zero state does not trip
+    the detector while sustained geometric growth does.
     """
-    grid = initial.grid
-    ops = TorusOps(grid)
-    nz = grid.nz
-
-    V = even_extend(initial.v).data
-    S = even_extend(initial.sigma).data
-    P = initial.p
-
     records: list[list[State]] = []
     states: list[State] = [initial]
-
-    def pack(Vd, Sd, Pf, t):
-        return State(
-            VectorField3D2C(grid, _restrict_data(Vd, nz), COS),
-            ScalarField3D(grid, _restrict_data(Sd, nz), COS),
-            Pf,
-            t=t,
-        )
-
-    def rhs(Vd, Sd, Pf, step, stage, t):
-        sig_k, n1, n2, n3 = sampler(step, stage, t)
-        ws = TorusWorkspace(ops)
-        sig_ext = even_extend(sig_k).data
-        sV = ops.spec(Vd)
-        lap = ops.nodal(ops.laplacian(sV))
-        gd = ops.nodal(ops.grad_div(sV))
-        n1_ext = even_extend(n1).data
-        kV = (
-            np.stack(
-                [
-                    params.mu * ws.product(sig_ext, lap[i])
-                    + (params.mu + params.lam) * ws.product(sig_ext, gd[i])
-                    for i in range(2)
-                ]
-            )
-            + n1_ext
-        )
-        sS = ops.spec(Sd)
-        kS = params.nu * ws.product(sig_ext, ops.nodal(ops.dzz(sS)))
-        if params.epsilon != 0.0:
-            kS = kS + params.epsilon * ops.nodal(ops.laplacian_h(sS))
-        kS = kS + even_extend(n2).data
-        kP = n3
-        if params.epsilon != 0.0:
-            kP = kP + params.epsilon * laplacian_h(Pf)
-        return kV, kS, kP
-
+    state = initial
     for n in range(n_steps):
-        t = initial.t + n * dt
-        step_start = states[-1]
-        stage_states = [step_start]
-        before = float(np.linalg.norm(V)) + float(np.linalg.norm(S))
 
-        kV1, kS1, kP1 = rhs(V, S, P, n, 0, t)
-        V1 = V + (0.5 * dt) * kV1
-        S1 = S + (0.5 * dt) * kS1
-        P1 = P + (0.5 * dt) * kP1
-        if record_stages:
-            stage_states.append(pack(V1, S1, P1, t + 0.5 * dt))
+        def rhs(s: State, stage: int):
+            sigma_k, *sources = sampler(n, stage, s.t)
+            return frozen_tendency(s, params, sigma_k, sources)
 
-        kV2, kS2, kP2 = rhs(V1, S1, P1, n, 1, t + 0.5 * dt)
-        V2 = V + (0.5 * dt) * kV2
-        S2 = S + (0.5 * dt) * kS2
-        P2 = P + (0.5 * dt) * kP2
-        if record_stages:
-            stage_states.append(pack(V2, S2, P2, t + 0.5 * dt))
-
-        kV3, kS3, kP3 = rhs(V2, S2, P2, n, 2, t + 0.5 * dt)
-        V3 = V + dt * kV3
-        S3 = S + dt * kS3
-        P3 = P + dt * kP3
-        if record_stages:
-            stage_states.append(pack(V3, S3, P3, t + dt))
-
-        kV4, kS4, kP4 = rhs(V3, S3, P3, n, 3, t + dt)
-        V = V + (dt / 6.0) * (kV1 + 2.0 * kV2 + 2.0 * kV3 + kV4)
-        S = S + (dt / 6.0) * (kS1 + 2.0 * kS2 + 2.0 * kS3 + kS4)
-        P = P + (dt / 6.0) * (kP1 + 2.0 * kP2 + 2.0 * kP3 + kP4)
-
-        after = float(np.linalg.norm(V)) + float(np.linalg.norm(S))
-        floor = max(
-            before,
-            dt * (float(np.linalg.norm(kV1)) + float(np.linalg.norm(kS1))),
-            1e-300,
-        )
+        stages, k1, new_state = rk4_step(state, dt, rhs)
+        before = nodal_l2(state.v, state.sigma)
+        after = nodal_l2(new_state.v, new_state.sigma)
+        floor = max(before, dt * nodal_l2(k1.dv, k1.dsigma), 1e-300)
         if not np.isfinite(after) or after > STABILITY_GROWTH * floor:
             raise StabilityFault(
                 f"linear sweep norm grew {before:.3e} -> {after:.3e} in step {n}"
             )
-        records.append(stage_states)
-        states.append(pack(V, S, P, initial.t + (n + 1) * dt))
-
-    defect = max(
-        ExtendedField(grid, V).symmetry_defect(),
-        ExtendedField(grid, S).symmetry_defect(),
-    )
-    if defect >= sym_tol:
-        raise SymmetryFault(f"even-symmetry defect {defect:.3e} after linear sweep")
+        records.append(list(stages) if record_stages else [state])
+        states.append(new_state)
+        state = new_state
     return records, states

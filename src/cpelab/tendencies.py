@@ -1,6 +1,18 @@
-"""Right-hand sides: the split sources Phi_1/Phi_2/Phi_3, the full tendency
-of the epsilon-regularized system, and the frozen-coefficient sources
-N_1/N_2/N_3 that drive the linear solves.
+"""Right-hand sides of the epsilon-regularized system, each term written once.
+
+Every equation's terms sit in private term lists: the sources (the Phi_1,
+Phi_2, Phi_3 products plus the transport terms v . grad_h sigma and
+vbar . grad_h p) and the linear part in a given coefficient sigma_c. A term
+is either a dealiased product (f, g, coef) or a plain field; each output
+takes one reduction over its products, then adds its plain fields in order.
+
+* ``regularized_tendency``: sources + linear part at sigma_c = sigma;
+* ``frozen_sources``: the sources alone, N_1/N_2/N_3 of the linear sweeps;
+* ``frozen_tendency``: linear part at a frozen sigma_k + frozen sources;
+* ``phi1``/``phi2``/``phi3``: the Phi lists alone.
+
+``rk4_step`` is the classical RK4 step both integration paths take, so the
+Picard fixed point reproduces the nonlinear RK4 trajectory stage for stage.
 """
 
 from __future__ import annotations
@@ -10,13 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import DiagnosticFields, compute_diagnostics
+from .diagnostics import DiagnosticFields, compute_diagnostics, heating
 from .errors import (
     PositivityMarginWarning,
     PressurePositivityLost,
     SigmaPositivityLost,
 )
-from .fields import COS, ScalarField2D, ScalarField3D, VectorField3D2C
+from .fields import COS, ScalarField2D, ScalarField3D, State, VectorField3D2C
 from .params import PhysParams
 from .spectral import (
     ProductWorkspace,
@@ -68,6 +80,102 @@ def check_positivity(
         )
 
 
+# ---------------------------------------------------------------------------
+# the term lists
+# ---------------------------------------------------------------------------
+
+
+def _phi1_terms(v1, v2, sigma, w, grad_p):
+    """Phi_1 = -(v . grad_h) v - w dz v - sigma grad_h p, per component."""
+    return [
+        [(v1, ddx(vi), -1.0), (v2, ddy(vi), -1.0), (w, ddz(vi), -1.0), (sigma, gpi, -1.0)]
+        for vi, gpi in zip((v1, v2), grad_p)
+    ]
+
+
+def _phi2_terms(sigma, divv, diag: DiagnosticFields):
+    """Phi_2 = -w dz sigma + sigma (div_h v - phi)."""
+    return [(diag.w, ddz(sigma), -1.0), (sigma, divv - diag.phi, 1.0)]
+
+
+def _phi3_terms(p, divv, Q, params: PhysParams):
+    """Phi_3 = (gamma-1) Qbar - gamma p div_h vbar."""
+    return [
+        (p, vertical_average(divv), -params.gamma),
+        (params.gamma - 1.0) * vertical_average(Q),
+    ]
+
+
+def _source_terms(state, params: PhysParams, diag: DiagnosticFields, v1, v2, divv):
+    """Sources per output ([dv1, dv2], dsigma, dp): the Phi products, with
+    -v . grad_h sigma and -vbar . grad_h p ahead of Phi_2 and Phi_3."""
+    sigma, p = state.sigma, state.p
+    grad_p = grad_h_2d(p)
+    sigma_transport = [(v1, ddx(sigma), -1.0), (v2, ddy(sigma), -1.0)]
+    p_transport = [
+        (vertical_average(v1), grad_p[0], -1.0),
+        (vertical_average(v2), grad_p[1], -1.0),
+    ]
+    return (
+        _phi1_terms(v1, v2, sigma, diag.w, grad_p),
+        sigma_transport + _phi2_terms(sigma, divv, diag),
+        p_transport + _phi3_terms(p, divv, diag.Q, params),
+    )
+
+
+def _linear_terms(state, params: PhysParams, sigma_c: ScalarField3D, v1, v2, divv):
+    """Linear part per output ([dv1, dv2], dsigma, dp) in the coefficient sigma_c:
+    mu sigma_c Lap v + (mu+lambda) sigma_c grad_h div_h v,
+    nu sigma_c dzz sigma + eps Lap_h sigma, and eps Lap_h p."""
+    mu, lam, eps = params.mu, params.lam, params.epsilon
+    dv = [
+        [(sigma_c, laplacian3(vi), mu), (sigma_c, d(divv), mu + lam)]
+        for vi, d in ((v1, ddx), (v2, ddy))
+    ]
+    dsigma = [(sigma_c, dzz(state.sigma), params.nu)]
+    dp = []
+    if eps != 0.0:
+        dsigma.append(eps * laplacian_h(state.sigma))
+        dp.append(eps * laplacian_h(state.p))
+    return dv, dsigma, dp
+
+
+def _reduce(terms, ws: ProductWorkspace):
+    """One dealiased reduction over the products, then the plain fields in order."""
+    products = [t for t in terms if isinstance(t, tuple)]
+    out = dealiased_sum(products, ws) if products else None
+    for t in terms:
+        if not isinstance(t, tuple):
+            out = t if out is None else out + t
+    return out
+
+
+def _vector(grid, comps) -> VectorField3D2C:
+    return VectorField3D2C(grid, np.stack([c.data for c in comps]), COS)
+
+
+def _assemble(grid, parts, ws: ProductWorkspace) -> StateTendency:
+    """One reduction per output over the term lists of all ``parts``.
+
+    List order is summation order, so it fixes the output to the last bit."""
+    dv1, dv2, dsigma, dp = [], [], [], []
+    for (v1_terms, v2_terms), sigma_terms, p_terms in parts:
+        dv1 += v1_terms
+        dv2 += v2_terms
+        dsigma += sigma_terms
+        dp += p_terms
+    return StateTendency(
+        dv=_vector(grid, [_reduce(dv1, ws), _reduce(dv2, ws)]),
+        dsigma=_reduce(dsigma, ws),
+        dp=_reduce(dp, ws),
+    )
+
+
+# ---------------------------------------------------------------------------
+# the sums
+# ---------------------------------------------------------------------------
+
+
 def phi1(
     v: VectorField3D2C,
     sigma: ScalarField3D,
@@ -79,25 +187,9 @@ def phi1(
     """Phi_1 = -(v . grad_h) v - w dz v - sigma grad_h p."""
     ws = ws or ProductWorkspace(v.grid)
     if diag is None:
-        from .fields import State
-
         diag = compute_diagnostics(State(v, sigma, p), params, ws)
-    v1, v2 = v.component(0), v.component(1)
-    px, py = grad_h_2d(p)
-    comps = []
-    for vi, gpi in ((v1, px), (v2, py)):
-        comps.append(
-            dealiased_sum(
-                [
-                    (v1, ddx(vi), -1.0),
-                    (v2, ddy(vi), -1.0),
-                    (diag.w, ddz(vi), -1.0),
-                    (sigma, gpi, -1.0),
-                ],
-                ws,
-            )
-        )
-    return VectorField3D2C(v.grid, np.stack([c.data for c in comps]), COS)
+    terms = _phi1_terms(v.component(0), v.component(1), sigma, diag.w, grad_h_2d(p))
+    return _vector(v.grid, [_reduce(t, ws) for t in terms])
 
 
 def phi2(
@@ -111,13 +203,8 @@ def phi2(
     """Phi_2 = -w dz sigma + sigma (div_h v - phi)."""
     ws = ws or ProductWorkspace(v.grid)
     if diag is None:
-        from .fields import State
-
         diag = compute_diagnostics(State(v, sigma, p), params, ws)
-    div_minus_phi = div_h(v) - diag.phi
-    return dealiased_sum(
-        [(diag.w, ddz(sigma), -1.0), (sigma, div_minus_phi, 1.0)], ws
-    )
+    return _reduce(_phi2_terms(sigma, div_h(v), diag), ws)
 
 
 def phi3(
@@ -129,16 +216,8 @@ def phi3(
 ) -> ScalarField2D:
     """Phi_3 = (gamma-1) Qbar - gamma p div_h vbar."""
     ws = ws or ProductWorkspace(v.grid)
-    if diag is None:
-        from .diagnostics import heating
-
-        Q, _ = heating(v, params, ws)
-    else:
-        Q = diag.Q
-    qbar = vertical_average(Q)
-    div_vbar = vertical_average(div_h(v))
-    pressure_work = dealiased_sum([(p, div_vbar, -params.gamma)], ws)
-    return (params.gamma - 1.0) * qbar + pressure_work
+    Q = heating(v, params, ws)[0] if diag is None else diag.Q
+    return _reduce(_phi3_terms(p, div_h(v), Q, params), ws)
 
 
 def regularized_tendency(
@@ -158,61 +237,11 @@ def regularized_tendency(
     ws = ws or ProductWorkspace(state.grid)
     if diag is None:
         diag = compute_diagnostics(state, params, ws)
-    v, sigma, p = state.v, state.sigma, state.p
-    v1, v2 = v.component(0), v.component(1)
-    mu, lam, eps = params.mu, params.lam, params.epsilon
-
-    divv = div_h(v)
-    px, py = grad_h_2d(p)
-
-    dv_comps = []
-    for vi, gpi, gdi in ((v1, px, ddx(divv)), (v2, py, ddy(divv))):
-        dv_comps.append(
-            dealiased_sum(
-                [
-                    (v1, ddx(vi), -1.0),
-                    (v2, ddy(vi), -1.0),
-                    (diag.w, ddz(vi), -1.0),
-                    (sigma, gpi, -1.0),
-                    (sigma, laplacian3(vi), mu),
-                    (sigma, gdi, mu + lam),
-                ],
-                ws,
-            )
-        )
-    dv = VectorField3D2C(state.grid, np.stack([c.data for c in dv_comps]), COS)
-
-    div_minus_phi = divv - diag.phi
-    dz_sigma = ddz(sigma)
-    dsigma = dealiased_sum(
-        [
-            (v1, ddx(sigma), -1.0),
-            (v2, ddy(sigma), -1.0),
-            (diag.w, dz_sigma, -1.0),
-            (sigma, div_minus_phi, 1.0),
-            (sigma, dzz(sigma), params.nu),
-        ],
-        ws,
-    )
-    if eps != 0.0:
-        dsigma = dsigma + eps * laplacian_h(sigma)
-
-    vbar1 = vertical_average(v1)
-    vbar2 = vertical_average(v2)
-    div_vbar = vertical_average(divv)
-    dp = dealiased_sum(
-        [
-            (vbar1, px, -1.0),
-            (vbar2, py, -1.0),
-            (p, div_vbar, -params.gamma),
-        ],
-        ws,
-    )
-    dp = dp + (params.gamma - 1.0) * vertical_average(diag.Q)
-    if eps != 0.0:
-        dp = dp + eps * laplacian_h(p)
-
-    return StateTendency(dv=dv, dsigma=dsigma, dp=dp)
+    v1, v2 = state.v.component(0), state.v.component(1)
+    divv = div_h(state.v)
+    sources = _source_terms(state, params, diag, v1, v2, divv)
+    linear = _linear_terms(state, params, state.sigma, v1, v2, divv)
+    return _assemble(state.grid, (sources, linear), ws)
 
 
 def frozen_sources(
@@ -228,25 +257,78 @@ def frozen_sources(
     ws = ws or ProductWorkspace(state.grid)
     if diag is None:
         diag = compute_diagnostics(state, params, ws)
-    v, sigma, p = state.v, state.sigma, state.p
-    v1, v2 = v.component(0), v.component(1)
-    n1 = phi1(v, sigma, p, params, diag, ws)
-    div_minus_phi = div_h(v) - diag.phi
-    n2 = dealiased_sum(
-        [
-            (diag.w, ddz(sigma), -1.0),
-            (sigma, div_minus_phi, 1.0),
-            (v1, ddx(sigma), -1.0),
-            (v2, ddy(sigma), -1.0),
-        ],
-        ws,
+    v1, v2 = state.v.component(0), state.v.component(1)
+    sources = _source_terms(state, params, diag, v1, v2, div_h(state.v))
+    out = _assemble(state.grid, (sources,), ws)
+    return out.dv, out.dsigma, out.dp
+
+
+def frozen_tendency(
+    state,
+    params: PhysParams,
+    sigma_k: ScalarField3D,
+    sources,
+    ws: ProductWorkspace | None = None,
+) -> StateTendency:
+    """Tendency of the frozen-coefficient linear problems.
+
+    dv     = mu sigma_k Lap v + (mu+lambda) sigma_k grad_h div_h v + N_1
+    dsigma = nu sigma_k dzz sigma + eps Lap_h sigma + N_2
+    dp     = eps Lap_h p + N_3
+
+    ``sources`` is (N_1, N_2, N_3) as returned by ``frozen_sources``.
+    """
+    ws = ws or ProductWorkspace(state.grid)
+    v1, v2 = state.v.component(0), state.v.component(1)
+    n1, n2, n3 = sources
+    linear = _linear_terms(state, params, sigma_k, v1, v2, div_h(state.v))
+    frozen = ([n1.component(0)], [n1.component(1)]), [n2], [n3]
+    return _assemble(state.grid, (linear, frozen), ws)
+
+
+# ---------------------------------------------------------------------------
+# the RK4 step
+# ---------------------------------------------------------------------------
+
+
+def _lincomb(base: State, t: float, *terms) -> State:
+    """base + sum coef * tendency, with the given new time."""
+    v = base.v.data.copy()
+    s = base.sigma.data.copy()
+    p = base.p.data.copy()
+    for coef, tend in terms:
+        v += coef * tend.dv.data
+        s += coef * tend.dsigma.data
+        p += coef * tend.dp.data
+    g = base.grid
+    return State(
+        VectorField3D2C(g, v, base.v.parity),
+        ScalarField3D(g, s, base.sigma.parity),
+        ScalarField2D(g, p),
+        t=t,
     )
-    px, py = grad_h_2d(p)
-    n3 = phi3(v, p, params, diag, ws) + dealiased_sum(
-        [
-            (vertical_average(v1), px, -1.0),
-            (vertical_average(v2), py, -1.0),
-        ],
-        ws,
+
+
+def rk4_step(state: State, dt: float, rhs):
+    """One classical RK4 step of d_t u = rhs(u, stage), stage = 0..3.
+
+    Returns the four stage states (state first), the stage-0 tendency and
+    the state at t + dt.
+    """
+    t = state.t
+    k1 = rhs(state, 0)
+    s1 = _lincomb(state, t + 0.5 * dt, (0.5 * dt, k1))
+    k2 = rhs(s1, 1)
+    s2 = _lincomb(state, t + 0.5 * dt, (0.5 * dt, k2))
+    k3 = rhs(s2, 2)
+    s3 = _lincomb(state, t + dt, (dt, k3))
+    k4 = rhs(s3, 3)
+    new_state = _lincomb(
+        state,
+        t + dt,
+        (dt / 6.0, k1),
+        (dt / 3.0, k2),
+        (dt / 3.0, k3),
+        (dt / 6.0, k4),
     )
-    return n1, n2, n3
+    return (state, s1, s2, s3), k1, new_state

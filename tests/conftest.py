@@ -1,9 +1,20 @@
 """Shared fixtures and hypothesis settings."""
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from cpelab import Grid, PhysParams, make_initial
+from cpelab import (
+    COS,
+    Grid,
+    PhysParams,
+    ScalarField2D,
+    ScalarField3D,
+    State,
+    VectorField3D2C,
+    make_initial,
+)
+from cpelab.parabolic import advance_coupled_linear
 
 settings.register_profile(
     "suite",
@@ -49,3 +60,34 @@ def example_a(grid16, params):
 @pytest.fixture
 def random_state(grid16, params):
     return make_initial("smooth-random", grid16, params, amplitude=0.1, seed=3)
+
+
+@pytest.fixture(scope="session")
+def linear_run():
+    """run(grid, params, T, dt, v, sigma, p) advances (v, sigma, p) to T with
+    the linear sweep at sigma_k = 1 and no sources; each field is a constant
+    or a nodal array of its shape. Returns the final State."""
+
+    def run(grid, params, T, dt, v=0.0, sigma=0.0, p=0.0):
+        zero = State(
+            VectorField3D2C(grid, np.zeros((2, *grid.shape3d)), COS),
+            ScalarField3D(grid, np.zeros(grid.shape3d), COS),
+            ScalarField2D(grid, np.zeros(grid.shape2d)),
+        )
+        initial = State(
+            VectorField3D2C(grid, zero.v.data + v, COS),
+            ScalarField3D(grid, zero.sigma.data + sigma, COS),
+            ScalarField2D(grid, zero.p.data + p),
+        )
+        ones = ScalarField3D(grid, np.ones(grid.shape3d), COS)
+
+        def sampler(step, stage, t):
+            return ones, zero.v, zero.sigma, zero.p
+
+        n_steps = round(T / dt)
+        _, states = advance_coupled_linear(
+            initial, params, T / n_steps, n_steps, sampler, record_stages=False
+        )
+        return states[-1]
+
+    return run

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cpelab import (
+    ConstraintFault,
     Grid,
     NoContraction,
     PhysParams,
@@ -36,11 +37,11 @@ def test_stable_dt_scalings(grid16, params):
 
 
 def test_run_options_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConstraintFault):
         RunOptions(t_final=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConstraintFault):
         RunOptions(t_final=1.0, dt=-1e-3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConstraintFault):
         RunOptions(t_final=1.0, record_every=0)
 
 
@@ -103,18 +104,13 @@ def test_forced_advance_exact_linear_growth(grid16, params):
     np.testing.assert_allclose(res.state.v.data, 0.0, atol=1e-14)
 
 
-def test_linear_solver_raises_stability_fault(grid16, params):
-    """Past the RK4 limit the frozen-coefficient solver trips the norm
+def test_linear_solver_raises_stability_fault(grid16, params, linear_run):
+    """Past the RK4 limit the frozen-coefficient sweep trips the norm
     detector (nothing thermodynamic can fault first there)."""
-    from cpelab import COS, ScalarField3D, VectorField3D2C, solve_channel_parabolic
-
     X, _, Z = grid16.mesh3d()
-    ones = ScalarField3D(grid16, np.ones((16, 16, 17)), COS)
-    u0 = VectorField3D2C(
-        grid16, np.stack([np.cos(3 * X) * np.cos(2 * np.pi * Z), np.zeros_like(X)]), COS
-    )
+    v0 = np.stack([np.cos(3 * X) * np.cos(2 * np.pi * Z), np.zeros_like(X)])
     with pytest.raises(StabilityFault):
-        solve_channel_parabolic("v", u0, ones, 0.05, params, dt=5e-3)
+        linear_run(grid16, params, 0.05, 5e-3, v=v0)
 
 
 def test_blowup_fault_captured(grid16, params):
@@ -146,12 +142,16 @@ def test_picard_small_data_contracts(grid16, weak_params):
     assert all(r <= 0.5 for r in out.report.ratios[1:])
 
 
-def test_picard_matches_rk4(grid12, weak_params):
-    st = make_initial("smooth-random", grid12, weak_params, amplitude=0.1, seed=4)
+@pytest.mark.parametrize(
+    "shape", [(12, 12, 12), (12, 16, 9), (8, 12, 11)], ids=lambda s: "x".join(map(str, s))
+)
+def test_picard_matches_rk4(shape, weak_params):
+    """The fixed point reproduces RK4 to roundoff, odd nz and non-cubic too."""
+    st = make_initial("smooth-random", Grid(*shape), weak_params, amplitude=0.1, seed=4)
     out = picard_solve(st, weak_params, T=1e-3, tol=1e-9)
     rk = advance(st, weak_params, RunOptions(t_final=1e-3, dt=out.report.dt))
     assert rk.fault is None
-    assert difference_norm(out.state, rk.state) <= 1e-8
+    assert difference_norm(out.state, rk.state) <= 1e-12
 
 
 def test_picard_iteration_budget(grid16, weak_params):

@@ -1,94 +1,51 @@
-"""Frozen-coefficient channel problems and the doubled-torus transport."""
+"""The frozen-coefficient linear sweep on the channel."""
 
 import numpy as np
-import pytest
 
-from cpelab import (
-    COS,
-    ConstraintFault,
-    Grid,
-    ParabolicProblem,
-    PhysParams,
-    ScalarField2D,
-    ScalarField3D,
-    UsageFault,
-    VectorField3D2C,
-    advance_parabolic,
-    frozen_sources,
-    make_initial,
-    solve_channel_parabolic,
-)
+from cpelab import PhysParams, frozen_sources, make_initial
 from cpelab.parabolic import advance_coupled_linear
 
 
-def ones_field(grid):
-    return ScalarField3D(grid, np.ones((grid.nx, grid.ny, grid.nz + 1)), COS)
-
-
-def test_vector_problem_fourth_order(grid16, params):
+def test_vector_problem_fourth_order(grid16, params, linear_run):
     """Constant coefficients make the decay rate exact; halving dt must
     cut the error ~16x while staying clear of roundoff."""
     X, _, Z = grid16.mesh3d()
-    u0 = VectorField3D2C(
-        grid16, np.stack([np.cos(3 * X) * np.cos(2 * np.pi * Z), np.zeros_like(X)]), COS
-    )
+    v0 = np.stack([np.cos(3 * X) * np.cos(2 * np.pi * Z), np.zeros_like(X)])
     rate = -(params.mu * (9 + 4 * np.pi**2) + (params.mu + params.lam) * 9)
     T = 0.02
-    exact = np.exp(rate * T) * u0.data
+    exact = np.exp(rate * T) * v0
     errs = []
     for dt in (8e-4, 4e-4):
-        out = solve_channel_parabolic("v", u0, ones_field(grid16), T, params, dt=dt)
-        errs.append(np.abs(out.data - exact).max())
+        out = linear_run(grid16, params, T, dt, v=v0)
+        errs.append(np.abs(out.v.data - exact).max())
     assert errs[0] > 1e-9  # signal above roundoff
     assert 12.0 <= errs[0] / errs[1] <= 20.0
 
 
-def test_sigma_problem_exact_decay(grid16, params):
+def test_sigma_problem_exact_decay(grid16, params, linear_run):
     _, _, Z = grid16.mesh3d()
-    s0 = ScalarField3D(grid16, np.cos(2 * np.pi * Z), COS)
-    out = solve_channel_parabolic("sigma", s0, ones_field(grid16), 0.05, params, dt=2e-4)
-    exact = np.exp(-params.nu * (2 * np.pi) ** 2 * 0.05) * s0.data
-    np.testing.assert_allclose(out.data, exact, atol=1e-12)
+    s0 = np.cos(2 * np.pi * Z)
+    out = linear_run(grid16, params, 0.05, 2e-4, sigma=s0)
+    exact = np.exp(-params.nu * (2 * np.pi) ** 2 * 0.05) * s0
+    np.testing.assert_allclose(out.sigma.data, exact, atol=1e-12)
 
 
-def test_sigma_problem_epsilon_horizontal(grid16):
+def test_sigma_problem_epsilon_horizontal(grid16, linear_run):
+    """eps Lap_h damps horizontal modes of sigma and of p alike."""
     par = PhysParams(epsilon=0.25)
-    X, _, _ = grid16.mesh3d()
-    s0 = ScalarField3D(grid16, np.cos(X), COS)
-    out = solve_channel_parabolic("sigma", s0, ones_field(grid16), 0.1, par, dt=5e-4)
-    np.testing.assert_allclose(out.data, np.exp(-0.25 * 0.1) * s0.data, atol=1e-12)
+    X, Y, _ = grid16.mesh3d()
+    s0 = np.cos(X)
+    p0 = np.cos(2 * Y[..., 0])
+    out = linear_run(grid16, par, 0.1, 5e-4, sigma=s0, p=p0)
+    np.testing.assert_allclose(out.sigma.data, np.exp(-0.25 * 0.1) * s0, atol=1e-12)
+    np.testing.assert_allclose(out.p.data, np.exp(-0.25 * 4 * 0.1) * p0, atol=1e-12)
 
 
-def test_constants_are_steady(grid16, params):
-    c = ScalarField3D(grid16, np.full((16, 16, 17), 3.0), COS)
-    out = solve_channel_parabolic("sigma", c, ones_field(grid16), 0.05, params)
-    np.testing.assert_allclose(out.data, c.data, atol=1e-13)
-
-
-def test_unknown_kind_rejected(grid16, params):
-    with pytest.raises(UsageFault):
-        solve_channel_parabolic("p", ones_field(grid16), ones_field(grid16), 0.1, params)
-
-
-def test_problem_validation(grid16):
-    u0 = np.zeros((16, 16, 32))
-    with pytest.raises(ConstraintFault):
-        ParabolicProblem(grid16, 0.0, 0.0, u0, 0.1)
-    with pytest.raises(ConstraintFault):
-        ParabolicProblem(grid16, 1.0, -1.0, u0, 0.1)
-    with pytest.raises(ConstraintFault):
-        ParabolicProblem(grid16, 1.0, 0.0, u0, -0.1)
-    with pytest.raises(ConstraintFault):
-        ParabolicProblem(grid16, 1.0, 0.0, np.zeros((3, 16, 16, 32)), 0.1)
-
-
-def test_torus_heat_decay(grid16):
-    """Doubled torus: cos(pi z) is a single z mode with rate -pi^2."""
-    zt = np.arange(32) / 16.0  # period-2 torus coordinate
-    u0 = np.broadcast_to(np.cos(np.pi * zt), (16, 16, 32)).copy()
-    prob = ParabolicProblem(grid16, 1.0, 0.0, u0, 0.1)
-    out = advance_parabolic(prob, dt=2e-4)
-    np.testing.assert_allclose(out, np.exp(-np.pi**2 * 0.1) * u0, atol=1e-11)
+def test_constants_are_steady(grid16, params, linear_run):
+    out = linear_run(grid16, params, 0.05, 1e-3, v=0.5, sigma=3.0, p=2.0)
+    np.testing.assert_allclose(out.v.data, 0.5, atol=1e-13)
+    np.testing.assert_allclose(out.sigma.data, 3.0, atol=1e-13)
+    np.testing.assert_allclose(out.p.data, 2.0, atol=1e-13)
 
 
 def test_coupled_linear_record_stages_equivalent(grid16, weak_params):

@@ -1,11 +1,10 @@
-"""Spectral derivatives, transforms, dealiased products, even extension."""
+"""Spectral derivatives, transforms, dealiased products."""
 
 import numpy as np
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cpelab import COS, SIN, SymmetryFault, UsageFault, ZLIN, even_extend, restrict
+from cpelab import COS, SIN, ZLIN
 from cpelab.fields import ScalarField2D, ScalarField3D, VectorField3D2C
 from cpelab.spectral import (
     ProductWorkspace,
@@ -167,32 +166,6 @@ def test_random_fields_seeded(grid16):
     a = random_band_limited_3d(grid16, np.random.default_rng(5), (3, 3, 3))
     b = random_band_limited_3d(grid16, np.random.default_rng(5), (3, 3, 3))
     assert np.array_equal(a.data, b.data)
-
-
-def test_even_extension_roundtrip(grid16):
-    rng = np.random.default_rng(13)
-    f = random_band_limited_3d(grid16, rng, (3, 3, 3))
-    ext = even_extend(f)
-    assert ext.data.shape == (16, 16, 32)
-    assert ext.symmetry_defect() == 0.0
-    back = restrict(ext)
-    np.testing.assert_allclose(back.data, f.data, atol=0)
-
-
-def test_restrict_rejects_asymmetric(grid16):
-    from cpelab.parabolic import ExtendedField
-
-    data = np.zeros((16, 16, 32))
-    data[..., 5] = 1.0  # no mirror partner
-    with pytest.raises(SymmetryFault):
-        restrict(ExtendedField(grid16, data))
-
-
-def test_even_extend_needs_cosine(grid16):
-    _, _, Z = grid16.mesh3d()
-    s = ScalarField3D(grid16, np.sin(np.pi * Z), SIN)
-    with pytest.raises(UsageFault):
-        even_extend(s)
 
 
 def test_workspace_reuse_matches(grid16):
