@@ -205,6 +205,14 @@ def _int(raw: str) -> int:
     return val
 
 
+def _in_section(section: str, build, *args, **kwargs):
+    """build(*args, **kwargs), naming the full config key in a ConstraintFault."""
+    try:
+        return build(*args, **kwargs)
+    except ConstraintFault as exc:
+        raise ConstraintFault(f"{section}.{exc.key}", exc.reason) from exc
+
+
 def load_config(path) -> RunConfig:
     parser = configparser.ConfigParser(
         delimiters=("=",), inline_comment_prefixes=("#", ";"), interpolation=None
@@ -232,10 +240,14 @@ def load_config(path) -> RunConfig:
         return _Section(name, None)
 
     g = sec("grid")
-    grid = Grid(g.intg("nx", 16), g.intg("ny", 16), g.intg("nz", 16))
+    grid = _in_section(
+        "grid", Grid, g.intg("nx", 16), g.intg("ny", 16), g.intg("nz", 16)
+    )
 
     pr = sec("params")
-    params = PhysParams(
+    params = _in_section(
+        "params",
+        PhysParams,
         gamma=pr.flt("gamma", 1.4),
         mu=pr.flt("mu", 1.0),
         lam=pr.flt("lambda", 0.0),
@@ -271,7 +283,9 @@ def load_config(path) -> RunConfig:
         dt = rn.flt("dt", None)
         if dt is not None and dt <= 0:
             raise ConstraintFault("run.dt", "dt must be positive or 'auto'")
-    run = RunOptions(
+    run = _in_section(
+        "run",
+        RunOptions,
         t_final=rn.flt("t_final", 0.1),
         dt=dt,
         record_every=rn.intg("record_every", 1),

@@ -19,16 +19,10 @@ from .fields import COS, ScalarField2D, ScalarField3D, VectorField3D2C
 from .params import PhysParams
 from .spectral import (
     ProductWorkspace,
-    ddx,
-    ddy,
-    ddz,
     dealiased_sum,
-    div_h,
-    fluctuation,
-    grad_h_2d,
-    multiply_dealiased,
+    divergence,
+    factor,
     vertical_average,
-    vertical_cumulative_integral,
 )
 
 DEFAULT_TOL_BC = 1e-11
@@ -61,12 +55,12 @@ def heating(
     """
     ws = ws or ProductWorkspace(v.grid)
     mu, lam = params.mu, params.lam
-    v1, v2 = v.component(0), v.component(1)
-    a, b = ddx(v1), ddy(v1)
-    c, d = ddx(v2), ddy(v2)
+    v1, v2 = factor(v.component(0)), factor(v.component(1))
+    a, b = v1.dx(), v1.dy()
+    c, d = v2.dx(), v2.dy()
     bc = b + c
     tr = a + d
-    vz1, vz2 = ddz(v1), ddz(v2)
+    vz1, vz2 = v1.dz(), v2.dz()
     Q = dealiased_sum(
         [
             (a, a, 2.0 * mu),
@@ -78,9 +72,9 @@ def heating(
         ],
         ws,
     )
-    Sxx = 2.0 * mu * a + lam * tr
-    Sxy = mu * bc
-    Syy = 2.0 * mu * d + lam * tr
+    Sxx = ws.field(2.0 * mu * a + lam * tr)
+    Sxy = ws.field(mu * bc)
+    Syy = ws.field(2.0 * mu * d + lam * tr)
     qmin = float(Q.data.min())
     if qmin < -tol_bc:
         # fixed message text so repeated emissions collapse under the
@@ -111,13 +105,13 @@ def phi_field(
     if Q is None:
         Q, _ = heating(v, params, ws)
     gamma = params.gamma
-    vt1 = fluctuation(v.component(0))
-    vt2 = fluctuation(v.component(1))
-    px, py = grad_h_2d(p)
+    vt1 = factor(v.component(0)).fluct()
+    vt2 = factor(v.component(1)).fluct()
+    px, py = factor(p).dx(), factor(p).dy()
     transport = dealiased_sum([(vt1, px), (vt2, py)], ws)
-    qt = fluctuation(Q)
+    qt = ws.field(factor(Q).fluct())
     numer = transport.data - (gamma - 1.0) * qt.data
-    core = fluctuation(div_h(v))
+    core = ws.field(divergence(v).fluct())
     return ScalarField3D(v.grid, core.data + numer / (gamma * p.data[..., None]), COS)
 
 
@@ -133,7 +127,7 @@ def vertical_velocity(
     ws = ws or ProductWorkspace(v.grid)
     if phi is None:
         phi = phi_field(v, p, params, ws=ws)
-    return params.nu * ddz(sigma) - vertical_cumulative_integral(phi)
+    return ws.field(params.nu * factor(sigma).dz() - factor(phi).cumint())
 
 
 def reconstruct_thermo(sigma: ScalarField3D, p: ScalarField2D, params: PhysParams):
@@ -198,19 +192,10 @@ def continuity_residual_field(
         raise SigmaPositivityLost(f"min sigma = {sig.min():.3e}")
     drho_dt = -sigma_tendency.data / sig**2
     rho = diag.rho
-    flux_h = div_h(
-        VectorField3D2C(
-            state.grid,
-            np.stack(
-                [
-                    multiply_dealiased(rho, state.v.component(0), ws).data,
-                    multiply_dealiased(rho, state.v.component(1), ws).data,
-                ]
-            ),
-            COS,
-        )
-    )
-    flux_z = ddz(multiply_dealiased(rho, diag.w, ws))
+    v1, v2 = state.v.component(0), state.v.component(1)
+    flux = [factor(dealiased_sum([(rho, f)], ws)) for f in (v1, v2, diag.w)]
+    flux_h = ws.field(flux[0].dx() + flux[1].dy())
+    flux_z = ws.field(flux[2].dz())
     return ScalarField3D(
         state.grid, drho_dt + flux_h.data + flux_z.data, COS
     )

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import sympy as sp
 
 from .errors import NoContraction, UsageFault
 from .fields import COS, ScalarField2D, ScalarField3D, State, VectorField3D2C
@@ -22,23 +21,27 @@ from .norms import difference_norm, sobolev_norm
 from .params import PhysParams
 from .spectral import ddz, laplacian3
 
-_X, _Y, _Z, _T = sp.symbols("x y z t", real=True)
-
 MMS_CASES = ("constant", "A-osc")
 
 
 def _case_fields(case: str):
+    """The symbols (x, y, z, t) and the exact (v1, v2, sigma, p) of a case.
+
+    sympy is imported here, not with the module, so only ``mms`` loads it."""
+    import sympy as sp
+
+    X, Y, Z, T = sp.symbols("x y z t", real=True)
     if case == "constant":
         one = sp.Integer(1)
-        return sp.Integer(0), sp.Integer(0), one, one
+        return (X, Y, Z, T), (sp.Integer(0), sp.Integer(0), one, one)
     if case == "A-osc":
-        decay = sp.exp(-_T)
+        decay = sp.exp(-T)
         amp = sp.Rational(1, 10)
-        v1 = decay * sp.cos(sp.pi * _Z) * sp.cos(_X)
+        v1 = decay * sp.cos(sp.pi * Z) * sp.cos(X)
         v2 = sp.Integer(0)
-        sig = 1 + amp * decay * sp.cos(sp.pi * _Z)
-        p = 1 + amp * decay * sp.cos(_X)
-        return v1, v2, sig, p
+        sig = 1 + amp * decay * sp.cos(sp.pi * Z)
+        p = 1 + amp * decay * sp.cos(X)
+        return (X, Y, Z, T), (v1, v2, sig, p)
     raise UsageFault(f"unknown manufactured case {case!r}; known: {', '.join(MMS_CASES)}")
 
 
@@ -52,7 +55,9 @@ def _symbolic_case(case: str, params: PhysParams):
     if hit is not None:
         return hit
 
-    v1, v2, sig, p = _case_fields(case)
+    import sympy as sp
+
+    (X, Y, Z, T), (v1, v2, sig, p) = _case_fields(case)
     gamma = sp.Float(params.gamma, 17)
     mu = sp.Float(params.mu, 17)
     lam = sp.Float(params.lam, 17)
@@ -60,60 +65,60 @@ def _symbolic_case(case: str, params: PhysParams):
     nu = sp.Float(params.nu, 17)
 
     def bar(f):
-        return sp.integrate(f, (_Z, 0, 1))
+        return sp.integrate(f, (Z, 0, 1))
 
-    ax = sp.diff(v1, _X)
-    by = sp.diff(v1, _Y)
-    cx = sp.diff(v2, _X)
-    dy = sp.diff(v2, _Y)
+    ax = sp.diff(v1, X)
+    by = sp.diff(v1, Y)
+    cx = sp.diff(v2, X)
+    dy = sp.diff(v2, Y)
     Q = (
         mu * (2 * ax**2 + 2 * dy**2 + (by + cx) ** 2)
         + lam * (ax + dy) ** 2
-        + mu * (sp.diff(v1, _Z) ** 2 + sp.diff(v2, _Z) ** 2)
+        + mu * (sp.diff(v1, Z) ** 2 + sp.diff(v2, Z) ** 2)
     )
     divh = ax + dy
     v1b, v2b = bar(v1), bar(v2)
     phi = (divh - bar(divh)) + (
-        (v1 - v1b) * sp.diff(p, _X)
-        + (v2 - v2b) * sp.diff(p, _Y)
+        (v1 - v1b) * sp.diff(p, X)
+        + (v2 - v2b) * sp.diff(p, Y)
         - (gamma - 1) * (Q - bar(Q))
     ) / (gamma * p)
     zeta = sp.Symbol("zeta", real=True)
-    w = nu * sp.diff(sig, _Z) - sp.integrate(phi.subs(_Z, zeta), (zeta, 0, _Z))
+    w = nu * sp.diff(sig, Z) - sp.integrate(phi.subs(Z, zeta), (zeta, 0, Z))
 
-    lap3 = lambda f: sp.diff(f, _X, 2) + sp.diff(f, _Y, 2) + sp.diff(f, _Z, 2)
-    lap_h = lambda f: sp.diff(f, _X, 2) + sp.diff(f, _Y, 2)
+    lap3 = lambda f: sp.diff(f, X, 2) + sp.diff(f, Y, 2) + sp.diff(f, Z, 2)
+    lap_h = lambda f: sp.diff(f, X, 2) + sp.diff(f, Y, 2)
 
     rhs_v = []
-    for vi, dxi in ((v1, _X), (v2, _Y)):
+    for vi, dxi in ((v1, X), (v2, Y)):
         rhs_v.append(
-            -(v1 * sp.diff(vi, _X) + v2 * sp.diff(vi, _Y))
-            - w * sp.diff(vi, _Z)
+            -(v1 * sp.diff(vi, X) + v2 * sp.diff(vi, Y))
+            - w * sp.diff(vi, Z)
             - sig * sp.diff(p, dxi)
             + mu * sig * lap3(vi)
             + (mu + lam) * sig * sp.diff(divh, dxi)
         )
     rhs_sig = (
-        -(v1 * sp.diff(sig, _X) + v2 * sp.diff(sig, _Y))
-        - w * sp.diff(sig, _Z)
+        -(v1 * sp.diff(sig, X) + v2 * sp.diff(sig, Y))
+        - w * sp.diff(sig, Z)
         + sig * (divh - phi)
-        + nu * sig * sp.diff(sig, _Z, 2)
+        + nu * sig * sp.diff(sig, Z, 2)
         + eps * lap_h(sig)
     )
     rhs_p = (
-        -(v1b * sp.diff(p, _X) + v2b * sp.diff(p, _Y))
+        -(v1b * sp.diff(p, X) + v2b * sp.diff(p, Y))
         + (gamma - 1) * bar(Q)
         - gamma * p * bar(divh)
         + eps * lap_h(p)
     )
 
     F = [
-        sp.diff(v1, _T) - rhs_v[0],
-        sp.diff(v2, _T) - rhs_v[1],
-        sp.diff(sig, _T) - rhs_sig,
-        sp.diff(p, _T) - rhs_p,
+        sp.diff(v1, T) - rhs_v[0],
+        sp.diff(v2, T) - rhs_v[1],
+        sp.diff(sig, T) - rhs_sig,
+        sp.diff(p, T) - rhs_p,
     ]
-    args3, args2 = (_X, _Y, _Z, _T), (_X, _Y, _T)
+    args3, args2 = (X, Y, Z, T), (X, Y, T)
     fns = {
         "v1": sp.lambdify(args3, v1, modules="numpy"),
         "v2": sp.lambdify(args3, v2, modules="numpy"),

@@ -14,6 +14,13 @@ truncated back. Factors are padded in their own parity basis: sine-type
 fields resampled through a cosine transform would pick up O(1/nz) Gibbs
 error from the corner of their even extension, which is far above the
 accuracy this module promises.
+
+Products are coefficient-first. A ``ProductWorkspace`` analyses each field
+once, and a derivative factor (a ``Factor``: d/dx, d/dz, Laplacians, div_h,
+fluctuation, vertical average, ...) is the parent's coefficients times a
+multiplier, synthesized straight onto the fine grid: one z synthesis on the
+coarse horizontal spectrum, one fine inverse rfft2. The public derivatives
+are one trip through the same coefficients.
 """
 
 from __future__ import annotations
@@ -22,7 +29,15 @@ import numpy as np
 from scipy import fft as sfft
 
 from .errors import NumericalFault, UsageFault
-from .fields import COS, SIN, ZLIN, ScalarField2D, ScalarField3D, VectorField3D2C
+from .fields import (
+    COS,
+    SIN,
+    ZLIN,
+    ScalarField2D,
+    ScalarField3D,
+    VectorField3D2C,
+    _add_parity,
+)
 from .grid import Grid, fft_workers
 
 # ---------------------------------------------------------------------------
@@ -75,186 +90,243 @@ def sin_nodal(s: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# full 3D / 2D spectra (used by norms, round-trip tests, band projections)
+# z amplitudes and horizontal spectra
 # ---------------------------------------------------------------------------
+
+_2D = "2d"  # kind of a horizontal-only field or factor
+
+
+def _kind(f) -> str:
+    if isinstance(f, Factor):
+        return f.kind
+    if isinstance(f, ScalarField3D):
+        return f.parity
+    if isinstance(f, ScalarField2D):
+        return _2D
+    raise UsageFault(f"cannot multiply a {type(f).__name__}")
+
+
+def _z_amplitudes(f) -> np.ndarray:
+    """Vertical amplitudes on the coarse horizontal nodes.
+
+    Cosine fields give nz+1 cosine amplitudes (mode nz zeroed), sine fields
+    nz-1 sine amplitudes. A zlin field a0 z + sine part gives the nz-1 sine
+    amplitudes of its sine part followed by the slope a0. A 2D field is its
+    own amplitude.
+    """
+    g = f.grid
+    if isinstance(f, ScalarField2D):
+        return f.data
+    if f.parity == COS:
+        return cos_coeffs(f.data, g.nz)
+    if f.parity == SIN:
+        return sin_coeffs(f.data, g.nz)
+    slope = f.data[..., -1] - f.data[..., 0]
+    sine = sin_coeffs(f.data - slope[..., None] * g.z_nodes, g.nz)
+    return np.concatenate([sine, slope[..., None]], axis=-1)
+
+
+def _from_z_amplitudes(grid: Grid, zc: np.ndarray, kind: str):
+    """The field whose z amplitudes (in the layout of ``_z_amplitudes``) are zc."""
+    if kind == _2D:
+        return ScalarField2D(grid, zc)
+    if kind == COS:
+        return ScalarField3D(grid, cos_nodal(zc), COS)
+    if kind == SIN:
+        return ScalarField3D(grid, sin_nodal(zc), SIN)
+    data = sin_nodal(zc[..., :-1]) + zc[..., -1:] * grid.z_nodes
+    return ScalarField3D(grid, data, ZLIN)
+
+
+def _h_spectrum(zc: np.ndarray) -> np.ndarray:
+    return _zero_h_nyquist(_rfft2(zc), zc.shape[0], zc.shape[1])
 
 
 def spectrum(field) -> np.ndarray:
     """Complex mode amplitudes; z axis holds cosine or sine coefficients."""
-    g = field.grid
-    if isinstance(field, ScalarField2D):
-        return _zero_h_nyquist(_rfft2(field.data), g.nx, g.ny)
-    if isinstance(field, ScalarField3D):
-        if field.parity == COS:
-            zc = cos_coeffs(field.data, g.nz)
-        elif field.parity == SIN:
-            zc = sin_coeffs(field.data, g.nz)
-        else:
-            raise UsageFault("spectrum of a zlin field is not single-basis")
-        return _zero_h_nyquist(_rfft2(zc), g.nx, g.ny)
-    raise UsageFault(f"spectrum: unsupported field type {type(field).__name__}")
+    if isinstance(field, ScalarField3D) and field.parity == ZLIN:
+        raise UsageFault("spectrum of a zlin field is not single-basis")
+    if not isinstance(field, (ScalarField3D, ScalarField2D)):
+        raise UsageFault(f"spectrum: unsupported field type {type(field).__name__}")
+    return _h_spectrum(_z_amplitudes(field))
 
 
 def field_from_spectrum(grid: Grid, spec: np.ndarray, parity: str = COS):
-    if spec.ndim == 2:
-        return ScalarField2D(grid, _irfft2(spec, (grid.nx, grid.ny)))
-    zc = _irfft2(spec, (grid.nx, grid.ny))
-    if parity == COS:
-        return ScalarField3D(grid, cos_nodal(zc), COS)
-    if parity == SIN:
-        return ScalarField3D(grid, sin_nodal(zc), SIN)
-    raise UsageFault(f"cannot synthesize parity {parity!r}")
+    if parity not in (COS, SIN):
+        raise UsageFault(f"cannot synthesize parity {parity!r}")
+    kind = _2D if spec.ndim == 2 else parity
+    return _from_z_amplitudes(grid, _irfft2(spec, (grid.nx, grid.ny)), kind)
 
 
 # ---------------------------------------------------------------------------
-# derivatives
+# lazy factors: linear operators taken in coefficient space
+# ---------------------------------------------------------------------------
+
+# operators acting along z only; they commute with the horizontal transform
+_Z_OPS = frozenset({"z", "zz", "fluct", "mean", "cumint"})
+
+
+def _op_kind(op: str, kind: str) -> str:
+    if op in ("x", "y", "h"):
+        return kind
+    if kind == _2D:
+        raise UsageFault(f"operator {op!r} needs a 3D field")
+    if op == "z":
+        return SIN if kind == COS else COS
+    if op == "mean":
+        return _2D
+    if kind != COS:
+        raise UsageFault(f"operator {op!r} expects a cosine-parity field")
+    return ZLIN if op == "cumint" else COS
+
+
+class Factor:
+    """A product factor sum_j coef_j * ops_j(field_j), evaluated lazily.
+
+    Each term is (coef, ops, field), ``ops`` a tuple of operator names
+    applied left to right: "x", "y" (d/dx, d/dy), "h" (horizontal
+    Laplacian), "z" (d/dz: cos <-> sin, zlin -> cos), "zz" (d^2/dz^2),
+    "fluct" (the z-fluctuation), "mean" (the vertical average, 3D -> 2D)
+    and "cumint" (int_0^z, cos -> zlin). ``ProductWorkspace`` applies them
+    to the parents' memoized coefficients, so a derivative factor costs no
+    coarse nodal copy. A plain field is the identity factor.
+    """
+
+    __slots__ = ("terms", "kind")
+
+    def __init__(self, terms):
+        self.terms = tuple(terms)
+        kind = None
+        for _, ops, f in self.terms:
+            k = _kind(f)
+            for op in ops:
+                k = _op_kind(op, k)
+            kind = k if kind is None else _add_parity(kind, k)
+        self.kind = kind
+
+    @property
+    def grid(self) -> Grid:
+        return self.terms[0][2].grid
+
+    @property
+    def z_only(self) -> bool:
+        return all(op in _Z_OPS for _, ops, _ in self.terms for op in ops)
+
+    def _then(self, op: str) -> "Factor":
+        return Factor((c, ops + (op,), f) for c, ops, f in self.terms)
+
+    def dx(self) -> "Factor":
+        return self._then("x")
+
+    def dy(self) -> "Factor":
+        return self._then("y")
+
+    def dz(self) -> "Factor":
+        return self._then("z")
+
+    def dzz(self) -> "Factor":
+        return self._then("zz")
+
+    def lap_h(self) -> "Factor":
+        return self._then("h")
+
+    def lap3(self) -> "Factor":
+        return self.lap_h() + self.dzz()
+
+    def fluct(self) -> "Factor":
+        return self._then("fluct")
+
+    def mean(self) -> "Factor":
+        return self._then("mean")
+
+    def cumint(self) -> "Factor":
+        return self._then("cumint")
+
+    def __add__(self, other) -> "Factor":
+        return Factor(self.terms + factor(other).terms)
+
+    def __sub__(self, other) -> "Factor":
+        return self + -factor(other)
+
+    def __mul__(self, c: float) -> "Factor":
+        return Factor((float(c) * k, ops, f) for k, ops, f in self.terms)
+
+    __rmul__ = __mul__
+
+    def __neg__(self) -> "Factor":
+        return self * -1.0
+
+
+def factor(f) -> Factor:
+    """``f`` as a lazy factor (a field becomes the identity factor)."""
+    return f if isinstance(f, Factor) else Factor(((1.0, (), f),))
+
+
+def divergence(v: VectorField3D2C) -> Factor:
+    """div_h v as a lazy factor."""
+    return factor(v.component(0)).dx() + factor(v.component(1)).dy()
+
+
+# ---------------------------------------------------------------------------
+# public derivatives and vertical calculus: one trip through coefficients
 # ---------------------------------------------------------------------------
 
 
-def _ddx_data(a: np.ndarray, g: Grid, axis_k) -> np.ndarray:
-    spec = _rfft2(a)
-    spec *= axis_k
-    _zero_h_nyquist(spec, g.nx, g.ny)
-    return _irfft2(spec, (g.nx, g.ny))
-
-
-def _kx_mult(g: Grid, ndim: int):
-    shape = [1] * ndim
-    shape[0] = g.nx
-    return (1j * g.kx).reshape(shape)
-
-
-def _ky_mult(g: Grid, ndim: int):
-    shape = [1] * ndim
-    shape[1] = g.ky_half.size
-    return (1j * g.ky_half).reshape(shape)
+def _evaluate(f: Factor):
+    return ProductWorkspace(f.grid).field(f)
 
 
 def ddx(f):
     """Spectral d/dx; works for 2D and 3D scalar fields, preserves parity."""
-    g = f.grid
-    data = _ddx_data(f.data, g, _kx_mult(g, f.data.ndim))
-    if isinstance(f, ScalarField2D):
-        return ScalarField2D(g, data)
-    return ScalarField3D(g, data, f.parity)
+    return _evaluate(factor(f).dx())
 
 
 def ddy(f):
-    g = f.grid
-    data = _ddx_data(f.data, g, _ky_mult(g, f.data.ndim))
-    if isinstance(f, ScalarField2D):
-        return ScalarField2D(g, data)
-    return ScalarField3D(g, data, f.parity)
-
-
-def _ddz_cos_data(a: np.ndarray, nz: int) -> np.ndarray:
-    c = cos_coeffs(a, nz)
-    m = np.arange(1, nz, dtype=float)
-    s = -(np.pi * m) * c[..., 1:nz]
-    return sin_nodal(s)
-
-
-def _ddz_sin_data(a: np.ndarray, nz: int) -> np.ndarray:
-    s = sin_coeffs(a, nz)
-    m = np.arange(1, nz, dtype=float)
-    c = np.zeros(a.shape)
-    c[..., 1:nz] = (np.pi * m) * s
-    return cos_nodal(c)
+    return _evaluate(factor(f).dy())
 
 
 def ddz(f: ScalarField3D) -> ScalarField3D:
     """Spectral d/dz: cosine -> sine, sine -> cosine, zlin -> cosine (exact)."""
-    g = f.grid
-    if f.parity == COS:
-        return ScalarField3D(g, _ddz_cos_data(f.data, g.nz), SIN)
-    if f.parity == SIN:
-        return ScalarField3D(g, _ddz_sin_data(f.data, g.nz), COS)
-    # zlin: slope * z + sine part; sines vanish at both endpoints, so the
-    # slope is the difference of the boundary planes.
-    slope = f.data[..., -1] - f.data[..., 0]
-    sine_part = f.data - slope[..., None] * f.grid.z_nodes
-    out = _ddz_sin_data(sine_part, g.nz) + slope[..., None]
-    return ScalarField3D(g, out, COS)
+    return _evaluate(factor(f).dz())
 
 
 def dzz(f: ScalarField3D) -> ScalarField3D:
     """Second z-derivative of a cosine-parity field (stays cosine)."""
-    if f.parity != COS:
-        raise UsageFault("dzz expects a cosine-parity field")
-    g = f.grid
-    c = cos_coeffs(f.data, g.nz)
-    c *= -((np.pi * g.mz) ** 2)
-    return ScalarField3D(g, cos_nodal(c), COS)
+    return _evaluate(factor(f).dzz())
 
 
 def laplacian_h(f):
     """Horizontal Laplacian for 2D or 3D scalar fields."""
-    g = f.grid
-    spec = _rfft2(f.data)
-    k2 = g.kx.reshape(-1, 1) ** 2 + g.ky_half.reshape(1, -1) ** 2
-    if f.data.ndim == 3:
-        k2 = k2[..., None]
-    spec *= -k2
-    _zero_h_nyquist(spec, g.nx, g.ny)
-    data = _irfft2(spec, (g.nx, g.ny))
-    if isinstance(f, ScalarField2D):
-        return ScalarField2D(g, data)
-    return ScalarField3D(g, data, f.parity)
+    return _evaluate(factor(f).lap_h())
 
 
 def laplacian3(f: ScalarField3D) -> ScalarField3D:
     """Full Laplacian (horizontal + vertical) of a cosine-parity field."""
-    return laplacian_h(f) + dzz(f)
+    return _evaluate(factor(f).lap3())
 
 
 def div_h(v: VectorField3D2C) -> ScalarField3D:
-    return ddx(v.component(0)) + ddy(v.component(1))
+    return _evaluate(divergence(v))
 
 
 def grad_h_2d(p: ScalarField2D) -> tuple[ScalarField2D, ScalarField2D]:
-    return ddx(p), ddy(p)
-
-
-# ---------------------------------------------------------------------------
-# vertical average / fluctuation / cumulative integral
-# ---------------------------------------------------------------------------
+    ws = ProductWorkspace(p.grid)
+    return ws.field(factor(p).dx()), ws.field(factor(p).dy())
 
 
 def vertical_average(f: ScalarField3D) -> ScalarField2D:
     r"""\bar f = \int_0^1 f dz, exact for the field's own interpolant."""
-    g = f.grid
-    if f.parity == COS:
-        c = cos_coeffs(f.data, g.nz)
-        return ScalarField2D(g, c[..., 0].copy())
-    if f.parity == SIN:
-        s = sin_coeffs(f.data, g.nz)
-        m = np.arange(1, g.nz, dtype=float)
-        w = 2.0 * (1.0 - (-1.0) ** m) / (np.pi * m)  # int_0^1 of 2 s_m sin(m pi z)
-        return ScalarField2D(g, s @ w)
-    slope = f.data[..., -1] - f.data[..., 0]
-    sine_part = ScalarField3D(g, f.data - slope[..., None] * g.z_nodes, SIN)
-    return ScalarField2D(g, 0.5 * slope) + vertical_average(sine_part)
+    return _evaluate(factor(f).mean())
 
 
 def fluctuation(f: ScalarField3D) -> ScalarField3D:
     r"""\tilde f = f - \bar f (cosine parity only; others never need it)."""
-    if f.parity != COS:
-        raise UsageFault("fluctuation expects a cosine-parity field")
-    mean = vertical_average(f)
-    return ScalarField3D(f.grid, f.data - mean.data[..., None], COS)
+    return _evaluate(factor(f).fluct())
 
 
 def vertical_cumulative_integral(f: ScalarField3D) -> ScalarField3D:
     """F(z) = int_0^z f dz' per cosine mode: mode 0 -> a0*z, mode m -> sin/(m pi)."""
-    if f.parity != COS:
-        raise UsageFault("vertical_cumulative_integral expects cosine parity")
-    g = f.grid
-    c = cos_coeffs(f.data, g.nz)
-    m = np.arange(1, g.nz, dtype=float)
-    s = c[..., 1:g.nz] / (np.pi * m)
-    data = sin_nodal(s)
-    data += c[..., 0:1] * g.z_nodes
-    return ScalarField3D(g, data, ZLIN)
+    return _evaluate(factor(f).cumint())
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +334,8 @@ def vertical_cumulative_integral(f: ScalarField3D) -> ScalarField3D:
 # ---------------------------------------------------------------------------
 
 
-def _pad_h(spec: np.ndarray, g: Grid, fine_shape) -> np.ndarray:
+def _pad_h(spec: np.ndarray, g: Grid, out: np.ndarray) -> np.ndarray:
     """Place a coarse horizontal spectrum into a fine one (Nyquist dropped)."""
-    out = np.zeros(fine_shape, dtype=complex)
     hx = g.nx // 2
     hy = g.ny // 2
     out[:hx, :hy] = spec[:hx, :hy]
@@ -281,55 +352,158 @@ def _trunc_h(fine: np.ndarray, g: Grid, coarse_shape) -> np.ndarray:
     return out
 
 
-class ProductWorkspace:
-    """Memoizes fine-grid samples of factor fields within one RHS assembly.
+def _buffer_key(f) -> tuple:
+    """Identity of a field's nodal buffer; equal for every view of it
+    (``v.component(i)`` makes a new view on each call)."""
+    a = f.data
+    return (a.__array_interface__["data"][0], a.strides, a.shape, _kind(f))
 
-    Keyed by the identity of the nodal array, so it must not outlive the
-    fields it has seen. All methods are read-only with respect to inputs.
+
+class _Coeffs:
+    """A field's z amplitudes and, once asked for, their horizontal spectrum."""
+
+    __slots__ = ("zc", "_spec")
+
+    def __init__(self, zc: np.ndarray, spec: np.ndarray | None = None):
+        self.zc = zc
+        self._spec = spec
+
+    def spec(self) -> np.ndarray:
+        if self._spec is None:
+            self._spec = _h_spectrum(self.zc)
+        return self._spec
+
+
+class ProductWorkspace:
+    """Coefficients and fine-grid factor samples within one RHS assembly.
+
+    Each field is analysed once: its z amplitudes, then on demand their
+    horizontal spectrum. Both are memoized by the field's nodal buffer, and
+    ``reduce3``/``reduce2``/``field`` seed the memo with what they make.
+    Factors are synthesized on the 3/2 grid straight from the coefficients
+    and memoized by their terms. Every memo entry keeps a reference to its
+    buffer, so the workspace must not outlive the fields it has seen; the
+    fine-sample keys name only buffers the coefficient memo holds. All
+    methods are read-only with respect to inputs.
     """
 
     def __init__(self, grid: Grid):
         self.grid = grid
-        # values keep a reference to the source array so its id stays valid
-        self._fine3: dict[tuple[int, str], tuple[np.ndarray, np.ndarray]] = {}
-        self._fine2: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._coeffs: dict[tuple, tuple[np.ndarray, _Coeffs]] = {}
+        self._fine: dict[tuple, np.ndarray] = {}
+        kx = grid.kx[:, None]
+        ky = grid.ky_half[None, :]
+        self._h_mult = {"x": 1j * kx, "y": 1j * ky, "h": -(kx**2 + ky**2)}
+        self._pim = np.pi * np.arange(1, grid.nz, dtype=float)
+
+    # -- coefficients --
+
+    def coeffs(self, f) -> _Coeffs:
+        key = _buffer_key(f)
+        hit = self._coeffs.get(key)
+        if hit is not None:
+            return hit[1]
+        c = _Coeffs(_z_amplitudes(f))
+        self._coeffs[key] = (f.data, c)
+        return c
+
+    def _seed(self, f, zc: np.ndarray, spec: np.ndarray | None = None):
+        self._coeffs[_buffer_key(f)] = (f.data, _Coeffs(zc, spec))
+        return f
+
+    def _apply(self, op: str, a: np.ndarray, kind: str) -> np.ndarray:
+        """One operator on z amplitudes or spectra ``a`` of the given kind."""
+        if op in self._h_mult:
+            mult = self._h_mult[op]
+            return a * (mult if a.ndim == 2 else mult[..., None])
+        nz, pim = self.grid.nz, self._pim
+        if op == "z":
+            if kind == COS:
+                return -pim * a[..., 1:nz]
+            out = np.zeros(a.shape[:-1] + (nz + 1,), dtype=a.dtype)
+            out[..., 1:nz] = pim * a[..., : nz - 1]
+            if kind == ZLIN:
+                out[..., 0] = a[..., -1]
+            return out
+        if op == "zz":
+            return a * -((np.pi * self.grid.mz) ** 2)
+        if op == "fluct":
+            out = a.copy()
+            out[..., 0] = 0.0
+            return out
+        if op == "cumint":
+            return np.concatenate([a[..., 1:nz] / pim, a[..., :1]], axis=-1)
+        # mean: int_0^1 of 2 s_m sin(m pi z) is 2 s_m (1 - (-1)^m) / (m pi)
+        if kind == COS:
+            return a[..., 0]
+        weights = 2.0 * (1.0 - (-1.0) ** np.arange(1, nz)) / pim
+        out = a[..., : nz - 1] @ weights
+        return out + 0.5 * a[..., -1] if kind == ZLIN else out
+
+    def _combine(self, f: Factor, spectral: bool) -> np.ndarray:
+        """The factor's spectrum, or its z amplitudes if ``spectral`` is off."""
+        out = None
+        for c, ops, g in f.terms:
+            coeffs = self.coeffs(g)
+            a = coeffs.spec() if spectral else coeffs.zc
+            kind = _kind(g)
+            for op in ops:
+                a = self._apply(op, a, kind)
+                kind = _op_kind(op, kind)
+            if kind == SIN and f.kind == ZLIN:  # a sine term has zero slope
+                a = np.concatenate([a, np.zeros_like(a[..., :1])], axis=-1)
+            a = c * a
+            out = a if out is None else out + a
+        return out
+
+    def field(self, f):
+        """Nodal values of a factor; z-only factors skip the horizontal
+        transforms, so like the nodal operators they keep horizontal content."""
+        f = factor(f)
+        g = self.grid
+        if f.z_only:
+            zc, spec = self._combine(f, spectral=False), None
+        else:
+            spec = self._combine(f, spectral=True)
+            zc = _irfft2(spec, (g.nx, g.ny))
+        return self._seed(_from_z_amplitudes(g, zc, f.kind), zc, spec)
 
     # -- factor synthesis on the fine grid --
 
-    def fine3(self, f: ScalarField3D) -> np.ndarray:
-        odd = f.parity != COS
-        key = (id(f.data), "s" if odd else "c")
-        hit = self._fine3.get(key)
+    def fine3(self, f) -> np.ndarray:
+        """Samples of a field or factor on the 3/2 grid; a memo hit makes
+        no transform."""
+        f = factor(f)
+        key = tuple((c, ops, _buffer_key(g)) for c, ops, g in f.terms)
+        hit = self._fine.get(key)
         if hit is not None:
-            return hit[1]
+            return hit
         g = self.grid
         fx, fy, fz = g.fine_nx, g.fine_ny, g.fine_nz
-        if odd:
-            zc = sin_coeffs(f.data, g.nz)
-            zfine = np.zeros((g.nx, g.ny, fz - 1))
-            zfine[..., : g.nz - 1] = zc
+        spec = self._combine(f, spectral=True)
+        if f.kind == _2D:
+            fine = _pad_h(spec, g, np.zeros((fx, fy // 2 + 1), dtype=complex))
+            nodal = _irfft2(fine, (fx, fy))
+        elif f.kind == COS:
+            # z synthesis on the coarse horizontal spectrum, then one
+            # horizontal synthesis on the fine grid
+            zfine = np.zeros(spec.shape[:2] + (fz + 1,), dtype=complex)
+            zfine[..., : g.nz] = spec[..., : g.nz]
+            fine = np.zeros((fx, fy // 2 + 1, fz + 1), dtype=complex)
+            nodal = _irfft2(_pad_h(_dct1(zfine), g, fine), (fx, fy))
         else:
-            zc = cos_coeffs(f.data, g.nz)
-            zfine = np.zeros((g.nx, g.ny, fz + 1))
-            zfine[..., : g.nz] = zc[..., : g.nz]
-        spec = _zero_h_nyquist(_rfft2(zfine), g.nx, g.ny)
-        fine = _pad_h(spec, g, (fx, fy // 2 + 1, zfine.shape[-1]))
-        nodal = _irfft2(fine, (fx, fy))
-        nodal = sin_nodal(nodal) if odd else cos_nodal(nodal)
-        self._fine3[key] = (f.data, nodal)
+            if f.kind == ZLIN:  # analysed in sine space, like its nodal data
+                spec = spec[..., :-1] + spec[..., -1:] * _ramp_sine(g.nz)
+            zfine = np.zeros(spec.shape[:2] + (fz - 1,), dtype=complex)
+            zfine[..., : g.nz - 1] = spec
+            fine = np.zeros((fx, fy // 2 + 1, fz + 1), dtype=complex)
+            _pad_h(_dst1(zfine), g, fine[..., 1:-1])
+            nodal = _irfft2(fine, (fx, fy))
+        self._fine[key] = nodal
         return nodal
 
-    def fine2(self, f: ScalarField2D) -> np.ndarray:
-        key = id(f.data)
-        hit = self._fine2.get(key)
-        if hit is not None:
-            return hit[1]
-        g = self.grid
-        spec = _zero_h_nyquist(_rfft2(f.data), g.nx, g.ny)
-        fine = _pad_h(spec, g, (g.fine_nx, g.fine_ny // 2 + 1))
-        nodal = _irfft2(fine, (g.fine_nx, g.fine_ny))
-        self._fine2[key] = (f.data, nodal)
-        return nodal
+    fine2 = fine3  # 2D factors take the same path
+
 
     # -- product analysis back to the coarse grid --
 
@@ -343,74 +517,50 @@ class ProductWorkspace:
             zc[..., g.nz] = 0.0
         spec = _rfft2(zc)
         coarse = _trunc_h(spec, g, (g.nx, g.ny // 2 + 1, zc.shape[-1]))
-        nodal = _irfft2(coarse, (g.nx, g.ny))
-        if odd:
-            return ScalarField3D(g, sin_nodal(nodal), SIN)
-        return ScalarField3D(g, cos_nodal(nodal), COS)
+        zc = _irfft2(coarse, (g.nx, g.ny))
+        return self._seed(_from_z_amplitudes(g, zc, SIN if odd else COS), zc, coarse)
 
     def reduce2(self, fine_nodal: np.ndarray) -> ScalarField2D:
         g = self.grid
         spec = _rfft2(fine_nodal)
         coarse = _trunc_h(spec, g, (g.nx, g.ny // 2 + 1))
-        return ScalarField2D(g, _irfft2(coarse, (g.nx, g.ny)))
+        nodal = _irfft2(coarse, (g.nx, g.ny))
+        return self._seed(ScalarField2D(g, nodal), nodal, coarse)
+
+
+def _ramp_sine(nz: int) -> np.ndarray:
+    """Sine amplitudes of z sampled on the interior nodes (closed-form DST-I)."""
+    m = np.arange(1, nz)
+    return (-1.0) ** (m + 1) / (2.0 * nz * np.tan(np.pi * m / (2.0 * nz)))
 
 
 def _is_odd(f) -> bool:
-    return isinstance(f, ScalarField3D) and f.parity in (SIN, ZLIN)
+    return _kind(f) in (SIN, ZLIN)
 
 
 def _fine_factor(ws: ProductWorkspace, f):
-    if isinstance(f, ScalarField3D):
-        return ws.fine3(f)
-    if isinstance(f, ScalarField2D):
+    if _kind(f) == _2D:
         return ws.fine2(f)[..., None]
-    raise UsageFault(f"cannot multiply a {type(f).__name__}")
-
-
-def multiply_dealiased(f, g, ws: ProductWorkspace | None = None):
-    """Pointwise product on the 3/2-padded grid, truncated back.
-
-    Scalars short-circuit to exact scaling. 2D factors broadcast along z.
-    The output parity follows the sine/cosine product table; "zlin" factors
-    are analyzed in sine space (exact up to their linear-slope content,
-    which for the vertical velocity is the roundoff-sized integral of phi).
-    """
-    if np.isscalar(f) or isinstance(f, (int, float)):
-        return g * float(f)
-    if np.isscalar(g) or isinstance(g, (int, float)):
-        return f * float(g)
-    if isinstance(f, VectorField3D2C) or isinstance(g, VectorField3D2C):
-        vec, other = (f, g) if isinstance(f, VectorField3D2C) else (g, f)
-        comps = [multiply_dealiased(vec.component(i), other, ws) for i in range(2)]
-        return VectorField3D2C(
-            vec.grid, np.stack([c.data for c in comps]), comps[0].parity
-        )
-    if f.grid != g.grid:
-        raise UsageFault("product factors live on different grids")
-    ws = ws or ProductWorkspace(f.grid)
-    if isinstance(f, ScalarField2D) and isinstance(g, ScalarField2D):
-        return ws.reduce2(ws.fine2(f) * ws.fine2(g))
-    prod = _fine_factor(ws, f) * _fine_factor(ws, g)
-    return ws.reduce3(prod, odd=_is_odd(f) != _is_odd(g))
+    return ws.fine3(f)
 
 
 def dealiased_sum(terms, ws: ProductWorkspace | None = None):
     """Sum of pointwise products sharing one output basis, one reduction.
 
-    ``terms`` is an iterable of (f, g) or (f, g, coef) entries; every term
-    must produce the same output kind (all 3D with one parity, or all 2D).
-    Scalar coefficients multiply exactly and keep the factor fields
+    ``terms`` is an iterable of (f, g) or (f, g, coef) entries, each factor
+    a field or a lazy ``Factor``; every term must produce the same output
+    kind (all 3D with one parity, or all 2D). 2D factors broadcast along z,
+    and the output parity follows the sine/cosine product table. "zlin"
+    factors are analyzed in sine space (exact up to their linear-slope
+    content, which for the vertical velocity is the roundoff-sized integral
+    of phi). Scalar coefficients multiply exactly and keep the factors
     memoizable across terms.
     """
     terms = [t if len(t) == 3 else (t[0], t[1], 1.0) for t in terms]
     if not terms:
         raise UsageFault("dealiased_sum needs at least one term")
     ws = ws or ProductWorkspace(terms[0][0].grid)
-    two_d = all(
-        isinstance(f, ScalarField2D) and isinstance(g, ScalarField2D)
-        for f, g, _ in terms
-    )
-    if two_d:
+    if all(_kind(f) == _2D and _kind(g) == _2D for f, g, _ in terms):
         acc = None
         for f, g, c in terms:
             prod = c * (ws.fine2(f) * ws.fine2(g))

@@ -5,6 +5,8 @@ Phi_2, Phi_3 products plus the transport terms v . grad_h sigma and
 vbar . grad_h p) and the linear part in a given coefficient sigma_c. A term
 is either a dealiased product (f, g, coef) or a plain field; each output
 takes one reduction over its products, then adds its plain fields in order.
+Derivative factors are lazy ``Factor``s, synthesized on the product grid
+from the parents' coefficients; a lazy plain term is made nodal first.
 
 * ``regularized_tendency``: sources + linear part at sigma_c = sigma;
 * ``frozen_sources``: the sources alone, N_1/N_2/N_3 of the linear sweeps;
@@ -30,19 +32,7 @@ from .errors import (
 )
 from .fields import COS, ScalarField2D, ScalarField3D, State, VectorField3D2C
 from .params import PhysParams
-from .spectral import (
-    ProductWorkspace,
-    ddx,
-    ddy,
-    ddz,
-    dealiased_sum,
-    div_h,
-    dzz,
-    grad_h_2d,
-    laplacian3,
-    laplacian_h,
-    vertical_average,
-)
+from .spectral import Factor, ProductWorkspace, dealiased_sum, divergence, factor
 
 DEFAULT_FAULT_FLOOR = 1e-8
 
@@ -85,37 +75,40 @@ def check_positivity(
 # ---------------------------------------------------------------------------
 
 
+def _velocity(state):
+    """(v1, v2, div_h v) as lazy factors."""
+    v1, v2 = factor(state.v.component(0)), factor(state.v.component(1))
+    return v1, v2, v1.dx() + v2.dy()
+
+
 def _phi1_terms(v1, v2, sigma, w, grad_p):
     """Phi_1 = -(v . grad_h) v - w dz v - sigma grad_h p, per component."""
     return [
-        [(v1, ddx(vi), -1.0), (v2, ddy(vi), -1.0), (w, ddz(vi), -1.0), (sigma, gpi, -1.0)]
+        [(v1, vi.dx(), -1.0), (v2, vi.dy(), -1.0), (w, vi.dz(), -1.0), (sigma, gpi, -1.0)]
         for vi, gpi in zip((v1, v2), grad_p)
     ]
 
 
 def _phi2_terms(sigma, divv, diag: DiagnosticFields):
     """Phi_2 = -w dz sigma + sigma (div_h v - phi)."""
-    return [(diag.w, ddz(sigma), -1.0), (sigma, divv - diag.phi, 1.0)]
+    return [(diag.w, sigma.dz(), -1.0), (sigma, divv - diag.phi, 1.0)]
 
 
 def _phi3_terms(p, divv, Q, params: PhysParams):
     """Phi_3 = (gamma-1) Qbar - gamma p div_h vbar."""
     return [
-        (p, vertical_average(divv), -params.gamma),
-        (params.gamma - 1.0) * vertical_average(Q),
+        (p, divv.mean(), -params.gamma),
+        (params.gamma - 1.0) * factor(Q).mean(),
     ]
 
 
 def _source_terms(state, params: PhysParams, diag: DiagnosticFields, v1, v2, divv):
     """Sources per output ([dv1, dv2], dsigma, dp): the Phi products, with
     -v . grad_h sigma and -vbar . grad_h p ahead of Phi_2 and Phi_3."""
-    sigma, p = state.sigma, state.p
-    grad_p = grad_h_2d(p)
-    sigma_transport = [(v1, ddx(sigma), -1.0), (v2, ddy(sigma), -1.0)]
-    p_transport = [
-        (vertical_average(v1), grad_p[0], -1.0),
-        (vertical_average(v2), grad_p[1], -1.0),
-    ]
+    sigma, p = factor(state.sigma), factor(state.p)
+    grad_p = (p.dx(), p.dy())
+    sigma_transport = [(v1, sigma.dx(), -1.0), (v2, sigma.dy(), -1.0)]
+    p_transport = [(v1.mean(), grad_p[0], -1.0), (v2.mean(), grad_p[1], -1.0)]
     return (
         _phi1_terms(v1, v2, sigma, diag.w, grad_p),
         sigma_transport + _phi2_terms(sigma, divv, diag),
@@ -128,15 +121,16 @@ def _linear_terms(state, params: PhysParams, sigma_c: ScalarField3D, v1, v2, div
     mu sigma_c Lap v + (mu+lambda) sigma_c grad_h div_h v,
     nu sigma_c dzz sigma + eps Lap_h sigma, and eps Lap_h p."""
     mu, lam, eps = params.mu, params.lam, params.epsilon
+    sigma, p = factor(state.sigma), factor(state.p)
     dv = [
-        [(sigma_c, laplacian3(vi), mu), (sigma_c, d(divv), mu + lam)]
-        for vi, d in ((v1, ddx), (v2, ddy))
+        [(sigma_c, vi.lap3(), mu), (sigma_c, d, mu + lam)]
+        for vi, d in ((v1, divv.dx()), (v2, divv.dy()))
     ]
-    dsigma = [(sigma_c, dzz(state.sigma), params.nu)]
+    dsigma = [(sigma_c, sigma.dzz(), params.nu)]
     dp = []
     if eps != 0.0:
-        dsigma.append(eps * laplacian_h(state.sigma))
-        dp.append(eps * laplacian_h(state.p))
+        dsigma.append(eps * sigma.lap_h())
+        dp.append(eps * p.lap_h())
     return dv, dsigma, dp
 
 
@@ -146,6 +140,8 @@ def _reduce(terms, ws: ProductWorkspace):
     out = dealiased_sum(products, ws) if products else None
     for t in terms:
         if not isinstance(t, tuple):
+            if isinstance(t, Factor):
+                t = ws.field(t)
             out = t if out is None else out + t
     return out
 
@@ -188,7 +184,9 @@ def phi1(
     ws = ws or ProductWorkspace(v.grid)
     if diag is None:
         diag = compute_diagnostics(State(v, sigma, p), params, ws)
-    terms = _phi1_terms(v.component(0), v.component(1), sigma, diag.w, grad_h_2d(p))
+    v1, v2 = factor(v.component(0)), factor(v.component(1))
+    grad_p = (factor(p).dx(), factor(p).dy())
+    terms = _phi1_terms(v1, v2, sigma, diag.w, grad_p)
     return _vector(v.grid, [_reduce(t, ws) for t in terms])
 
 
@@ -204,7 +202,7 @@ def phi2(
     ws = ws or ProductWorkspace(v.grid)
     if diag is None:
         diag = compute_diagnostics(State(v, sigma, p), params, ws)
-    return _reduce(_phi2_terms(sigma, div_h(v), diag), ws)
+    return _reduce(_phi2_terms(factor(sigma), divergence(v), diag), ws)
 
 
 def phi3(
@@ -217,7 +215,7 @@ def phi3(
     """Phi_3 = (gamma-1) Qbar - gamma p div_h vbar."""
     ws = ws or ProductWorkspace(v.grid)
     Q = heating(v, params, ws)[0] if diag is None else diag.Q
-    return _reduce(_phi3_terms(p, div_h(v), Q, params), ws)
+    return _reduce(_phi3_terms(p, divergence(v), Q, params), ws)
 
 
 def regularized_tendency(
@@ -237,8 +235,7 @@ def regularized_tendency(
     ws = ws or ProductWorkspace(state.grid)
     if diag is None:
         diag = compute_diagnostics(state, params, ws)
-    v1, v2 = state.v.component(0), state.v.component(1)
-    divv = div_h(state.v)
+    v1, v2, divv = _velocity(state)
     sources = _source_terms(state, params, diag, v1, v2, divv)
     linear = _linear_terms(state, params, state.sigma, v1, v2, divv)
     return _assemble(state.grid, (sources, linear), ws)
@@ -257,8 +254,7 @@ def frozen_sources(
     ws = ws or ProductWorkspace(state.grid)
     if diag is None:
         diag = compute_diagnostics(state, params, ws)
-    v1, v2 = state.v.component(0), state.v.component(1)
-    sources = _source_terms(state, params, diag, v1, v2, div_h(state.v))
+    sources = _source_terms(state, params, diag, *_velocity(state))
     out = _assemble(state.grid, (sources,), ws)
     return out.dv, out.dsigma, out.dp
 
@@ -279,9 +275,8 @@ def frozen_tendency(
     ``sources`` is (N_1, N_2, N_3) as returned by ``frozen_sources``.
     """
     ws = ws or ProductWorkspace(state.grid)
-    v1, v2 = state.v.component(0), state.v.component(1)
     n1, n2, n3 = sources
-    linear = _linear_terms(state, params, sigma_k, v1, v2, div_h(state.v))
+    linear = _linear_terms(state, params, sigma_k, *_velocity(state))
     frozen = ([n1.component(0)], [n1.component(1)]), [n2], [n3]
     return _assemble(state.grid, (linear, frozen), ws)
 

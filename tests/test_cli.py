@@ -1,9 +1,14 @@
 """End-to-end checks of the command-line surface (in-process main())."""
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cpelab
 from cpelab.cli import main
 from cpelab.snapshot import describe, read_snapshot
 
@@ -87,6 +92,35 @@ def test_bad_config_exits_2(tmp_path, capsys):
     code, _ = launch(tmp_path, "[params]\ngamma = 1.0\n")
     assert code == 2
     assert "gamma" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[run]\nt_final = 0\n", "error: run.t_final: must be positive"),
+        ("[run]\nrecord_every = 0\n", "error: run.record_every: must be >= 1"),
+        ("[grid]\nnx = 7\n", "error: grid.nx: "),
+        ("[grid]\nnz = 6\n", "error: grid.nz: "),
+        ("[params]\ngamma = 1.0\n", "error: params.gamma: "),
+    ],
+    ids=["t_final", "record_every", "nx", "nz", "gamma"],
+)
+def test_constraint_faults_name_the_full_key(tmp_path, capsys, text, message):
+    code, _ = launch(tmp_path, text)
+    assert code == 2
+    assert capsys.readouterr().err.startswith(message)
+
+
+def test_cli_import_leaves_sympy_unloaded():
+    """Only the manufactured-solution forcing needs sympy; run and picard
+    must not pay for importing it."""
+    probe = "import sys, cpelab.cli; print('sympy' in sys.modules)"
+    src = str(Path(cpelab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_picard_constant_converges_fast(tmp_path, capsys):

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cpelab import (
     COS,
@@ -125,6 +127,28 @@ def test_boundary_defects_random(params):
         assert w_def <= 1e-11
         assert phi_def <= 1e-11
         assert np.abs(diag.w.data[..., 0]).max() == 0.0
+
+
+WALL_SHAPES = [(12, 12, 12), (12, 16, 9), (8, 12, 11)]
+
+
+@pytest.mark.parametrize(
+    "shape", WALL_SHAPES, ids=["x".join(map(str, s)) for s in WALL_SHAPES]
+)
+@given(seed=st.integers(0, 2**32 - 1), amplitude=st.floats(0.01, 0.3))
+def test_wall_conditions_hold_on_any_grid(params, shape, seed, amplitude):
+    """c01's invariants on non-cubic and odd-nz grids: w(0) = 0 exactly,
+    w(1) and the vertical mean of phi vanish to rounding."""
+    grid = Grid(*shape)
+    st_ = make_initial(
+        "smooth-random", grid, params, amplitude=amplitude, seed=seed
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", QNegativityWarning)
+        diag = compute_diagnostics(st_, params)
+    assert np.abs(diag.w.data[..., 0]).max() == 0.0
+    assert np.abs(diag.w.data[..., -1]).max() <= 1e-11
+    assert np.abs(vertical_average(diag.phi).data).max() <= 1e-11
 
 
 def test_diagnostics_consistent_with_parts(grid16, params):

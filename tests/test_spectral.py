@@ -1,10 +1,11 @@
 """Spectral derivatives, transforms, dealiased products."""
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cpelab import COS, SIN, ZLIN
+from cpelab import COS, SIN, ZLIN, Grid, UsageFault, make_initial, regularized_tendency
 from cpelab.fields import ScalarField2D, ScalarField3D, VectorField3D2C
 from cpelab.spectral import (
     ProductWorkspace,
@@ -12,14 +13,16 @@ from cpelab.spectral import (
     ddx,
     ddy,
     ddz,
+    dealiased_sum,
     div_h,
+    divergence,
     dzz,
+    factor,
     field_from_spectrum,
     fluctuation,
     grad_h_2d,
     laplacian3,
     laplacian_h,
-    multiply_dealiased,
     random_band_limited_3d,
     spectrum,
     vertical_average,
@@ -122,7 +125,7 @@ def test_product_exact_when_band_fits(grid16):
     rng = np.random.default_rng(7)
     a = random_band_limited_3d(grid16, rng, (3, 3, 3))
     b = random_band_limited_3d(grid16, rng, (3, 3, 3))
-    prod = multiply_dealiased(a, b)
+    prod = dealiased_sum([(a, b)])
     np.testing.assert_allclose(prod.data, a.data * b.data, atol=1e-13)
     assert prod.parity == COS
 
@@ -131,8 +134,8 @@ def test_product_parity_rules(grid16):
     _, _, Z = grid16.mesh3d()
     s = ScalarField3D(grid16, np.sin(np.pi * Z), SIN)
     c = trig(grid16, m=1)
-    assert multiply_dealiased(s, c).parity == SIN
-    assert multiply_dealiased(s, s).parity == COS
+    assert dealiased_sum([(s, c)]).parity == SIN
+    assert dealiased_sum([(s, s)]).parity == COS
 
 
 def test_band_project_idempotent(grid16):
@@ -173,6 +176,158 @@ def test_workspace_reuse_matches(grid16):
     a = random_band_limited_3d(grid16, rng, (5, 5, 5))
     b = random_band_limited_3d(grid16, rng, (5, 5, 5))
     ws = ProductWorkspace(grid16)
-    p1 = multiply_dealiased(a, b, ws)
-    p2 = multiply_dealiased(a, b)
+    p1 = dealiased_sum([(a, b)], ws)
+    p2 = dealiased_sum([(a, b)])
     np.testing.assert_allclose(p1.data, p2.data, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# coefficient-first factors
+# ---------------------------------------------------------------------------
+
+SHAPES = [(12, 12, 12), (12, 16, 9), (8, 12, 11)]
+SHAPE_IDS = ["x".join(map(str, s)) for s in SHAPES]
+
+
+def trig_sum(grid, seed, zbasis):
+    """A seeded sum of modes a cos(kx x + ky y + t) Z_m(z) and the exact
+    results of every factor operator on it, as nodal arrays."""
+    rng = np.random.default_rng(seed)
+    X, Y, Z = grid.mesh3d()
+    keys = ("f", "x", "y", "z", "zz", "h", "fluct", "mean", "cumint", "cumint_mean")
+    parts = dict.fromkeys(keys, 0.0)
+    for j in range(6):
+        a = rng.uniform(-1.0, 1.0)
+        kx, ky, m = (int(rng.integers(0, 4)) for _ in range(3))
+        if zbasis == SIN:
+            m += 1
+        elif j == 0:
+            m = 0  # a z-mean, so the cumulative integral has a slope
+        t = rng.uniform(0.0, 2.0 * np.pi)
+        c, s = np.cos(kx * X + ky * Y + t), np.sin(kx * X + ky * Y + t)
+        mp = m * np.pi
+        if zbasis == COS:
+            zf, dz = np.cos(mp * Z), -mp * np.sin(mp * Z)
+            zmean = 1.0 if m == 0 else 0.0
+            parts["cumint"] += a * c * (Z if m == 0 else np.sin(mp * Z) / mp)
+            cm = 0.5 if m == 0 else (1.0 - (-1.0) ** m) / mp**2
+            parts["cumint_mean"] += a * cm * c[..., 0]
+            parts["fluct"] += 0.0 if m == 0 else a * c * zf
+        else:
+            zf, dz = np.sin(mp * Z), mp * np.cos(mp * Z)
+            zmean = (1.0 - (-1.0) ** m) / mp
+        parts["f"] += a * c * zf
+        parts["x"] += -a * kx * s * zf
+        parts["y"] += -a * ky * s * zf
+        parts["z"] += a * c * dz
+        parts["zz"] += -(mp**2) * a * c * zf
+        parts["h"] += -(kx**2 + ky**2) * a * c * zf
+        parts["mean"] += a * zmean * c[..., 0]
+    return ScalarField3D(grid, parts.pop("f"), zbasis), parts
+
+
+def assert_close(actual, expected, tol=TOL):
+    scale = max(1.0, float(np.abs(expected).max()))
+    np.testing.assert_allclose(actual, expected, rtol=0, atol=tol * scale)
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
+@pytest.mark.parametrize("zbasis", [COS, SIN])
+def test_coefficient_operators_match_exact(shape, zbasis):
+    grid = Grid(*shape)
+    f, exact = trig_sum(grid, sum(shape), zbasis)
+    exact["lap3"] = exact["h"] + exact["zz"]
+    ops = {"dx": "x", "dy": "y", "dz": "z", "lap_h": "h", "mean": "mean"}
+    if zbasis == COS:
+        ops.update(dzz="zz", lap3="lap3", fluct="fluct", cumint="cumint")
+    ws = ProductWorkspace(grid)
+    for method, key in ops.items():
+        out = ws.field(getattr(factor(f), method)())
+        assert_close(out.data, exact[key])
+    if zbasis == COS:
+        assert_close(ws.field(factor(f).cumint().mean()).data, exact["cumint_mean"])
+        # the same through the nodal zlin field
+        zlin = vertical_cumulative_integral(f)
+        assert_close(vertical_average(zlin).data, exact["cumint_mean"])
+        assert_close(ddz(zlin).data, f.data)
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
+def test_vector_operators_match_exact(shape):
+    grid = Grid(*shape)
+    f1, e1 = trig_sum(grid, 1, COS)
+    f2, e2 = trig_sum(grid, 2, COS)
+    v = VectorField3D2C(grid, np.stack([f1.data, f2.data]), COS)
+    ws = ProductWorkspace(grid)
+    div = divergence(v)
+    assert_close(ws.field(div).data, e1["x"] + e2["y"])
+    assert_close(div_h(v).data, e1["x"] + e2["y"])
+    # d/dx div_h v from the exact first derivatives, taken spectrally
+    dx_div = ddx(ScalarField3D(grid, e1["x"] + e2["y"], COS))
+    assert_close(ws.field(div.dx()).data, dx_div.data)
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
+def test_lazy_factor_fine_samples_match_materialized(shape):
+    grid = Grid(*shape)
+    f, _ = trig_sum(grid, 5, COS)
+    s, _ = trig_sum(grid, 6, SIN)
+    p = ScalarField2D(grid, f.data[..., 3].copy())
+    F, S, P = factor(f), factor(s), factor(p)
+    lazy3 = [F.dx(), F.dy(), F.dz(), F.dzz(), F.lap3(), F.fluct(), F.cumint(),
+             S.dz(), S.dx() - 0.5 * F.dz(), 2.0 * F.dx() + F.dy() - f]
+    lazy2 = [F.mean(), S.mean(), P.dx(), P.lap_h(), F.mean().dy() + P]
+    ws = ProductWorkspace(grid)
+    for lazy in lazy3:
+        nodal = ws.field(lazy)
+        assert nodal.parity == lazy.kind
+        assert_close(ws.fine3(lazy), ProductWorkspace(grid).fine3(nodal))
+    for lazy in lazy2:
+        nodal = ws.field(lazy)
+        assert isinstance(nodal, ScalarField2D)
+        assert_close(ws.fine2(lazy), ProductWorkspace(grid).fine2(nodal))
+    # a zlin factor is sampled as the sine series through its interior nodes
+    zlin = ws.field(F.cumint())
+    interior = zlin.data.copy()
+    interior[..., [0, -1]] = 0.0
+    sine = ScalarField3D(grid, interior, SIN)
+    assert_close(ws.fine3(F.cumint())[..., 1:-1], ws.fine3(sine)[..., 1:-1])
+    # products seed their coefficients; a fresh workspace re-analyses them
+    for prod in (
+        dealiased_sum([(f, s), (F.dz(), F)], ws),
+        dealiased_sum([(f, F.dx())], ws),
+        dealiased_sum([(P, P.dy())], ws),
+    ):
+        fine = ws.fine2 if isinstance(prod, ScalarField2D) else ws.fine3
+        fresh = ProductWorkspace(grid)
+        fresh_fine = fresh.fine2 if isinstance(prod, ScalarField2D) else fresh.fine3
+        assert_close(fine(prod), fresh_fine(prod))
+
+
+def test_factor_rejects_mixed_kinds(grid12):
+    f = trig(grid12, kx=1, m=1)
+    with pytest.raises(UsageFault):
+        factor(f).mean() + factor(f)
+    with pytest.raises(UsageFault):
+        factor(f).dz() + factor(f)
+    with pytest.raises(UsageFault):
+        factor(f).dz().dzz()
+
+
+@pytest.mark.filterwarnings("ignore::cpelab.QNegativityWarning")
+def test_rhs_transform_budget(grid12, params, monkeypatch):
+    """One 12^3 RHS (with its diagnostics) makes at most 110 scipy.fft calls."""
+    import scipy.fft
+
+    calls = []
+    for name in ("dct", "dst", "rfft2", "irfft2"):
+        fn = getattr(scipy.fft, name)
+
+        def counted(*args, _fn=fn, **kwargs):
+            calls.append(1)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, name, counted)
+    state = make_initial("smooth-random", grid12, params, amplitude=0.1, seed=0)
+    regularized_tendency(state, params)
+    assert 0 < len(calls) <= 110
