@@ -205,12 +205,17 @@ def _int(raw: str) -> int:
     return val
 
 
+# PhysParams fields whose config key has another name
+_CONFIG_KEYS = {"R": "r", "lam": "lambda"}
+
+
 def _in_section(section: str, build, *args, **kwargs):
     """build(*args, **kwargs), naming the full config key in a ConstraintFault."""
     try:
         return build(*args, **kwargs)
     except ConstraintFault as exc:
-        raise ConstraintFault(f"{section}.{exc.key}", exc.reason) from exc
+        key = _CONFIG_KEYS.get(exc.key, exc.key)
+        raise ConstraintFault(f"{section}.{key}", exc.reason) from exc
 
 
 def load_config(path) -> RunConfig:

@@ -30,14 +30,17 @@ DEFAULT_TOL_BC = 1e-11
 
 @dataclass(frozen=True)
 class DiagnosticFields:
-    """Everything derived from one (v, sigma, p) snapshot."""
+    """The fields every RHS, energy record and step bound of one (v, sigma, p)
+    snapshot reads: the diagnosed w, the source phi and the heating Q."""
 
     w: ScalarField3D
     phi: ScalarField3D
     Q: ScalarField3D
-    Sh: tuple[ScalarField3D, ScalarField3D, ScalarField3D]  # (Sxx, Sxy, Syy)
-    rho: ScalarField3D
-    theta: ScalarField3D
+
+
+def _check_sigma(sigma: ScalarField3D) -> None:
+    if float(sigma.data.min()) <= 0.0:
+        raise SigmaPositivityLost(f"min sigma = {sigma.data.min():.3e}")
 
 
 def heating(
@@ -45,8 +48,8 @@ def heating(
     params: PhysParams,
     ws: ProductWorkspace | None = None,
     tol_bc: float = DEFAULT_TOL_BC,
-):
-    """Q = S_h : grad_h v + mu |dz v|^2 and the horizontal stress S_h.
+) -> ScalarField3D:
+    """Q = S_h : grad_h v + mu |dz v|^2, S_h the horizontal stress.
 
     With a = d1v1, b = d2v1, c = d1v2, d = d2v2 the contraction expands to
     mu (2a^2 + 2d^2 + (b+c)^2) + lambda (a+d)^2, all products dealiased.
@@ -72,9 +75,6 @@ def heating(
         ],
         ws,
     )
-    Sxx = ws.field(2.0 * mu * a + lam * tr)
-    Sxy = ws.field(mu * bc)
-    Syy = ws.field(2.0 * mu * d + lam * tr)
     qmin = float(Q.data.min())
     if qmin < -tol_bc:
         # fixed message text so repeated emissions collapse under the
@@ -84,7 +84,7 @@ def heating(
         )
         warning.qmin = qmin
         warnings.warn(warning, stacklevel=2)
-    return Q, (Sxx, Sxy, Syy)
+    return Q
 
 
 def phi_field(
@@ -103,7 +103,7 @@ def phi_field(
         raise PressurePositivityLost(f"min p = {p.data.min():.3e}")
     ws = ws or ProductWorkspace(v.grid)
     if Q is None:
-        Q, _ = heating(v, params, ws)
+        Q = heating(v, params, ws)
     gamma = params.gamma
     vt1 = factor(v.component(0)).fluct()
     vt2 = factor(v.component(1)).fluct()
@@ -133,8 +133,7 @@ def vertical_velocity(
 def reconstruct_thermo(sigma: ScalarField3D, p: ScalarField2D, params: PhysParams):
     """rho = 1/sigma and theta = sigma p / R, formed nodally so that the
     constitutive identity R rho theta = p holds at the nodes by construction."""
-    if float(sigma.data.min()) <= 0.0:
-        raise SigmaPositivityLost(f"min sigma = {sigma.data.min():.3e}")
+    _check_sigma(sigma)
     if float(p.data.min()) <= 0.0:
         raise PressurePositivityLost(f"min p = {p.data.min():.3e}")
     rho = ScalarField3D(sigma.grid, 1.0 / sigma.data, COS)
@@ -146,8 +145,7 @@ def reconstruct_thermo(sigma: ScalarField3D, p: ScalarField2D, params: PhysParam
 
 def total_mass(sigma: ScalarField3D) -> float:
     """M = integral of 1/sigma over the channel (mode-0 spectral quadrature)."""
-    if float(sigma.data.min()) <= 0.0:
-        raise SigmaPositivityLost(f"min sigma = {sigma.data.min():.3e}")
+    _check_sigma(sigma)
     recip = ScalarField3D(sigma.grid, 1.0 / sigma.data, COS)
     column = vertical_average(recip)
     return float((2.0 * np.pi) ** 2 * column.data.mean())
@@ -159,12 +157,14 @@ def compute_diagnostics(
     ws: ProductWorkspace | None = None,
     tol_bc: float = DEFAULT_TOL_BC,
 ) -> DiagnosticFields:
+    """Q, then phi (raises PressurePositivityLost for p <= 0), then w
+    (SigmaPositivityLost for sigma <= 0), all in the one workspace."""
     ws = ws or ProductWorkspace(state.grid)
-    Q, Sh = heating(state.v, params, ws, tol_bc)
+    Q = heating(state.v, params, ws, tol_bc)
     phi = phi_field(state.v, state.p, params, Q, ws)
+    _check_sigma(state.sigma)
     w = vertical_velocity(state.sigma, state.v, state.p, params, phi, ws)
-    rho, theta = reconstruct_thermo(state.sigma, state.p, params)
-    return DiagnosticFields(w=w, phi=phi, Q=Q, Sh=Sh, rho=rho, theta=theta)
+    return DiagnosticFields(w=w, phi=phi, Q=Q)
 
 
 def boundary_defects(diag: DiagnosticFields) -> tuple[float, float]:
@@ -187,11 +187,10 @@ def continuity_residual_field(
     ws = ws or ProductWorkspace(state.grid)
     if diag is None:
         diag = compute_diagnostics(state, params, ws)
+    _check_sigma(state.sigma)
     sig = state.sigma.data
-    if float(sig.min()) <= 0.0:
-        raise SigmaPositivityLost(f"min sigma = {sig.min():.3e}")
     drho_dt = -sigma_tendency.data / sig**2
-    rho = diag.rho
+    rho = ScalarField3D(state.grid, 1.0 / sig, COS)
     v1, v2 = state.v.component(0), state.v.component(1)
     flux = [factor(dealiased_sum([(rho, f)], ws)) for f in (v1, v2, diag.w)]
     flux_h = ws.field(flux[0].dx() + flux[1].dy())

@@ -152,9 +152,6 @@ def _same_grid(a, b) -> None:
         raise UsageFault("fields live on different grids")
 
 
-Field = ScalarField3D | VectorField3D2C | ScalarField2D
-
-
 @dataclass(frozen=True)
 class State:
     """The unknowns (v, sigma, p) at one instant."""

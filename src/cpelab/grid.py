@@ -17,8 +17,6 @@ import numpy as np
 
 from .errors import ConstraintFault
 
-DEALIAS_PAD32 = "pad-3/2"
-
 
 def fft_workers() -> int:
     """Worker count for scipy.fft, capped by CPE_THREADS (0 = auto = 1)."""
@@ -43,7 +41,6 @@ class Grid:
     nx: int
     ny: int
     nz: int
-    dealias: str = DEALIAS_PAD32
 
     def __post_init__(self):
         for key, n in (("nx", self.nx), ("ny", self.ny)):
@@ -51,8 +48,6 @@ class Grid:
                 raise ConstraintFault(key, "horizontal sizes must be even and >= 8")
         if self.nz < 8:
             raise ConstraintFault("nz", "vertical interval count must be >= 8")
-        if self.dealias != DEALIAS_PAD32:
-            raise ConstraintFault("dealias", f"unknown dealias rule {self.dealias!r}")
 
     # --- node coordinates -------------------------------------------------
 
@@ -120,18 +115,15 @@ class Grid:
     # --- retained-mode cutoffs (horizontal Nyquist and z mode nz zeroed) ---
 
     @property
-    def kx_max(self) -> int:
-        return self.nx // 2 - 1
-
-    @property
-    def ky_max(self) -> int:
-        return self.ny // 2 - 1
-
-    @property
     def kh_max_sq(self) -> float:
-        return float(self.kx_max**2 + self.ky_max**2)
+        return float((self.nx // 2 - 1) ** 2 + (self.ny // 2 - 1) ** 2)
+
+    @property
+    def kz_max_sq(self) -> float:
+        """Vertical cutoff, counted as (pi*nz)^2."""
+        return (np.pi * self.nz) ** 2
 
     @property
     def k_max_sq(self) -> float:
-        """max |k|^2 over retained modes, vertical counted as (pi*nz)^2."""
-        return self.kh_max_sq + (np.pi * self.nz) ** 2
+        """max |k|^2 over retained modes."""
+        return self.kh_max_sq + self.kz_max_sq

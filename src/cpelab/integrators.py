@@ -16,13 +16,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import boundary_defects, compute_diagnostics, total_mass
+from .diagnostics import (
+    DEFAULT_TOL_BC,
+    DiagnosticFields,
+    boundary_defects,
+    compute_diagnostics,
+    total_mass,
+)
 from .errors import ConstraintFault, CpeError, NoContraction, StabilityFault
 from .fields import ScalarField2D, ScalarField3D, State, VectorField3D2C
 from .norms import EnergyReport, energy_report, nodal_l2, sobolev_norm
 from .params import PhysParams
 from .parabolic import advance_coupled_linear
-from .spectral import ddz
+from .spectral import ProductWorkspace, ddz
 from .tendencies import (
     StateTendency,
     check_positivity,
@@ -39,7 +45,7 @@ class RunOptions:
     record_every: int = 1
     cfl: float = 1.0
     fault_floor: float = 1e-8
-    tol_bc: float = 1e-11
+    tol_bc: float = DEFAULT_TOL_BC
     keep_states: bool = False
 
     def __post_init__(self):
@@ -62,18 +68,22 @@ class AdvanceResult:
     states: list[State] | None = None
 
 
-def stable_dt(state: State, params: PhysParams, cfl: float = 1.0) -> float:
+def stable_dt(
+    state: State,
+    params: PhysParams,
+    cfl: float = 1.0,
+    diag: DiagnosticFields | None = None,
+) -> float:
     """Explicit step bound from the stiffest retained modes.
 
-    Diffusive rates use the dealiased cutoffs k_h,max^2 = (nx/2-1)^2 +
-    (ny/2-1)^2 and k_max^2 = k_h,max^2 + (pi nz)^2; advective rates use the
-    sup of |v| and of the diagnosed |w|.
+    Diffusive rates use the grid's retained-mode cutoffs ``kh_max_sq``,
+    ``kz_max_sq`` and ``k_max_sq``; advective rates use the sup of |v| and
+    of the diagnosed |w| (from ``diag`` when given, else evaluated here).
     """
     g = state.grid
-    diag = compute_diagnostics(state, params)
-    kh2 = float((g.nx // 2 - 1) ** 2 + (g.ny // 2 - 1) ** 2)
-    kz2 = (np.pi * g.nz) ** 2
-    k2 = kh2 + kz2
+    if diag is None:
+        diag = compute_diagnostics(state, params)
+    kh2, kz2, k2 = g.kh_max_sq, g.kz_max_sq, g.k_max_sq
     sig_max = float(state.sigma.data.max())
     v_inf = float(np.abs(state.v.data).max())
     w_inf = float(np.abs(diag.w.data).max())
@@ -109,28 +119,32 @@ def advance(
 
     ``forcing``: optional callable t -> (fv, fsigma, fp) nodal arrays added
     to the tendency (used by manufactured-solution runs).
-    """
-    dt = opts.dt if opts.dt is not None else stable_dt(state, params, opts.cfl)
-    n_steps = max(1, math.ceil(opts.t_final / dt - 1e-12))
-    dt = opts.t_final / n_steps
 
+    Each accepted state's diagnostics are evaluated once, in one workspace,
+    for ``stable_dt`` (initial state only), its record and the next stage-0
+    RHS; stages 1-3 evaluate their own.
+    """
     reports: list[EnergyReport] = []
     states: list[State] | None = [state] if opts.keep_states else None
-    warn_log: list[str] = []
     diss_v = 0.0
     diss_dz = 0.0
     fault: CpeError | None = None
 
-    def rhs(s: State, stage: int) -> StateTendency:
-        return _with_forcing(
-            regularized_tendency(s, params, fault_floor=opts.fault_floor),
-            forcing,
-            s.t,
-            s.grid,
-        )
+    # a helper, so that no local of advance holds a workspace past stage 0
+    def evaluate(s: State):
+        ws = ProductWorkspace(s.grid)
+        return ws, compute_diagnostics(s, params, ws, opts.tol_bc)
 
-    def record(s: State):
-        diag = compute_diagnostics(s, params)
+    def rhs(s: State, stage: int) -> StateTendency:
+        nonlocal start
+        ws, diag = start if stage == 0 else (None, None)
+        start = None  # free the workspace's fine-grid memo before stage 1
+        tend = regularized_tendency(
+            s, params, diag, ws, fault_floor=opts.fault_floor, tol_bc=opts.tol_bc
+        )
+        return _with_forcing(tend, forcing, s.t, s.grid)
+
+    def record(s: State, diag: DiagnosticFields):
         w_def, phi_def = boundary_defects(diag)
         reports.append(
             energy_report(
@@ -146,7 +160,12 @@ def advance(
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        record(state)
+        # (workspace, diagnostics) of the state the next step starts from
+        start = evaluate(state)
+        dt = opts.dt or stable_dt(state, params, opts.cfl, start[1])
+        n_steps = max(1, math.ceil(opts.t_final / dt - 1e-12))
+        dt = opts.t_final / n_steps
+        record(state, start[1])
         for n in range(n_steps):
             try:
                 diss_v += dt * sobolev_norm(state.v, 4) ** 2
@@ -162,23 +181,16 @@ def advance(
                 # so do not accept states the tendency would reject anyway
                 check_positivity(new_state, params, opts.fault_floor)
                 state = new_state
+                if states is not None:
+                    states.append(state)
+                start = evaluate(state)
+                if (n + 1) % opts.record_every == 0 or n + 1 == n_steps:
+                    record(state, start[1])
             except CpeError as exc:
                 fault = exc
                 break
-            if states is not None:
-                states.append(state)
-            if (n + 1) % opts.record_every == 0 or n + 1 == n_steps:
-                try:
-                    record(state)
-                except CpeError as exc:
-                    fault = exc
-                    break
-        seen = set(warn_log)
-        for w in caught:
-            text = str(w.message)
-            if text not in seen:
-                seen.add(text)
-                warn_log.append(text)
+        # each message text once, in order of first appearance
+        warn_log = list(dict.fromkeys(str(w.message) for w in caught))
 
     return AdvanceResult(
         state=state,

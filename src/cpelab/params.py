@@ -48,15 +48,3 @@ class PhysParams:
         object.__setattr__(
             self, "nu", (self.gamma - 1.0) * self.kappa / (self.gamma * self.R)
         )
-
-    def with_epsilon(self, epsilon: float) -> "PhysParams":
-        return PhysParams(
-            gamma=self.gamma,
-            mu=self.mu,
-            lam=self.lam,
-            kappa=self.kappa,
-            R=self.R,
-            epsilon=epsilon,
-            sigma_floor=self.sigma_floor,
-            p_floor=self.p_floor,
-        )

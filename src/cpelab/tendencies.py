@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import DiagnosticFields, compute_diagnostics, heating
+from .diagnostics import DEFAULT_TOL_BC, DiagnosticFields, compute_diagnostics, heating
 from .errors import (
     PositivityMarginWarning,
     PressurePositivityLost,
@@ -214,7 +214,7 @@ def phi3(
 ) -> ScalarField2D:
     """Phi_3 = (gamma-1) Qbar - gamma p div_h vbar."""
     ws = ws or ProductWorkspace(v.grid)
-    Q = heating(v, params, ws)[0] if diag is None else diag.Q
+    Q = heating(v, params, ws) if diag is None else diag.Q
     return _reduce(_phi3_terms(p, divergence(v), Q, params), ws)
 
 
@@ -224,17 +224,22 @@ def regularized_tendency(
     diag: DiagnosticFields | None = None,
     ws: ProductWorkspace | None = None,
     fault_floor: float = DEFAULT_FAULT_FLOOR,
+    tol_bc: float = DEFAULT_TOL_BC,
 ) -> StateTendency:
     """Full tendency of the regularized system.
 
     dv     = Phi_1 + mu sigma Lap v + (mu+lambda) sigma grad_h div_h v
     dsigma = -v . grad_h sigma + nu sigma dzz sigma + eps Lap_h sigma + Phi_2
     dp     = -vbar . grad_h p + eps Lap_h p + Phi_3
+
+    ``diag``: the state's diagnostics when known (pass the workspace they
+    were made in as ``ws`` to reuse its memo); otherwise they are evaluated
+    here with ``tol_bc``, after the positivity check.
     """
     check_positivity(state, params, fault_floor)
     ws = ws or ProductWorkspace(state.grid)
     if diag is None:
-        diag = compute_diagnostics(state, params, ws)
+        diag = compute_diagnostics(state, params, ws, tol_bc)
     v1, v2, divv = _velocity(state)
     sources = _source_terms(state, params, diag, v1, v2, divv)
     linear = _linear_terms(state, params, state.sigma, v1, v2, divv)

@@ -102,8 +102,10 @@ def test_bad_config_exits_2(tmp_path, capsys):
         ("[grid]\nnx = 7\n", "error: grid.nx: "),
         ("[grid]\nnz = 6\n", "error: grid.nz: "),
         ("[params]\ngamma = 1.0\n", "error: params.gamma: "),
+        ("[params]\nr = 0\n", "error: params.r: "),
+        ("[params]\nlambda = inf\n", "error: params.lambda: must be finite"),
     ],
-    ids=["t_final", "record_every", "nx", "nz", "gamma"],
+    ids=["t_final", "record_every", "nx", "nz", "gamma", "r", "lambda"],
 )
 def test_constraint_faults_name_the_full_key(tmp_path, capsys, text, message):
     code, _ = launch(tmp_path, text)

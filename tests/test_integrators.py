@@ -1,18 +1,23 @@
 """Time stepping: stable_dt, RK4 advance, Picard sweeps."""
 
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
+import cpelab.diagnostics
 from cpelab import (
     ConstraintFault,
     Grid,
     NoContraction,
     PhysParams,
+    QNegativityWarning,
     RunOptions,
     StabilityFault,
     advance,
+    compute_diagnostics,
     make_initial,
     picard_solve,
     stable_dt,
@@ -34,6 +39,56 @@ def test_stable_dt_scalings(grid16, params):
     # advection shortens the step
     moving = make_initial("example-A", grid16, params, amplitude=5.0)
     assert stable_dt(moving, params) < dt16
+
+
+def test_stable_dt_from_given_diagnostics(grid16, params):
+    st = make_initial("smooth-random", grid16, params, amplitude=0.3, seed=5)
+    diag = compute_diagnostics(st, params)
+    assert stable_dt(st, params, diag=diag) == stable_dt(st, params)
+
+
+@pytest.mark.parametrize("record_every", [1, 3])
+def test_advance_evaluates_each_state_once(
+    grid16, weak_params, monkeypatch, record_every
+):
+    """N steps make 4N + 1 diagnostics evaluations: one per accepted state
+    (shared by stable_dt, its record and the next stage-0 RHS) plus one in
+    each of stages 1-3."""
+    original = cpelab.diagnostics.compute_diagnostics
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        bound = getattr(module, "compute_diagnostics", None)
+        if name.startswith("cpelab") and bound is original:
+            monkeypatch.setattr(module, "compute_diagnostics", counted)
+    st = make_initial("smooth-random", grid16, weak_params, amplitude=0.1, seed=1)
+    t_final = 3.5 * stable_dt(st, weak_params)
+    calls.clear()
+    opts = RunOptions(t_final=t_final, record_every=record_every)
+    res = advance(st, weak_params, opts)
+    assert res.fault is None and res.n_steps == 4
+    assert len(calls) == 4 * res.n_steps + 1
+
+
+@pytest.mark.parametrize("tol_bc, warned", [(10.0, False), (1e-30, True)])
+def test_advance_passes_tol_bc(grid16, params, tol_bc, warned):
+    """run.tol_bc reaches every diagnostics evaluation of advance, stable_dt's
+    included, and the heating warning never escapes advance."""
+    # band 5 squares past the retained modes: the nodal Q dips to about -2
+    st = make_initial(
+        "smooth-random", grid16, params, amplitude=0.5, band=(5, 5, 5), seed=2
+    )
+    with warnings.catch_warnings(record=True) as leaked:
+        warnings.simplefilter("always")
+        res = advance(st, params, RunOptions(t_final=1e-4, tol_bc=tol_bc))
+    assert res.fault is None
+    assert not [w for w in leaked if issubclass(w.category, QNegativityWarning)]
+    dip = "nodal heating dipped below -tol_bc (dealiasing truncation)"
+    assert (dip in res.warnings) == warned
 
 
 def test_run_options_validation():
