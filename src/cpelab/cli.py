@@ -81,13 +81,17 @@ def _say(args, text: str) -> None:
         print(text)
 
 
+def _print_warnings(messages) -> None:
+    for w in messages:
+        print(f"warning: {w}", file=sys.stderr)
+
+
 def _cmd_run(cfg: RunConfig, out: Path, args) -> int:
     state = _initial_state(cfg)
     result = advance(state, cfg.params, cfg.run)
     _write_csv(out / "run.csv", _REPORT_HEADER, _report_rows(result.reports))
     write_snapshot(out / "final.cpe", Snapshot(result.state, cfg.params))
-    for w in result.warnings:
-        print(f"warning: {w}", file=sys.stderr)
+    _print_warnings(result.warnings)
     last = result.reports[-1]
     _say(
         args,
@@ -183,7 +187,9 @@ def _cmd_picard(cfg: RunConfig, out: Path, args) -> int:
             max_levels=pc.max_levels,
             tol=pc.tol,
             max_iter=pc.max_iter,
+            tol_bc=cfg.run.tol_bc,
         )
+        _print_warnings(dict.fromkeys(w for lv in esc.levels for w in lv.warnings))
         _write_csv(
             out / "picard_escalation.csv",
             ("T", "outcome", "iterations", "max_ratio"),
@@ -193,7 +199,12 @@ def _cmd_picard(cfg: RunConfig, out: Path, args) -> int:
         return EXIT_OK
     try:
         result = picard_solve(
-            initial, cfg.params, pc.T, tol=pc.tol, max_iter=pc.max_iter
+            initial,
+            cfg.params,
+            pc.T,
+            tol=pc.tol,
+            max_iter=pc.max_iter,
+            tol_bc=cfg.run.tol_bc,
         )
     except NoContraction as exc:
         if exc.report is not None:
@@ -202,11 +213,13 @@ def _cmd_picard(cfg: RunConfig, out: Path, args) -> int:
                 ("sweep", "delta", "ratio"),
                 _picard_rows(exc.report),
             )
+            _print_warnings(exc.report.warnings)
         print(f"no contraction: {exc}", file=sys.stderr)
         return EXIT_UNSTABLE
     _write_csv(
         out / "picard.csv", ("sweep", "delta", "ratio"), _picard_rows(result.report)
     )
+    _print_warnings(result.report.warnings)
     _say(
         args,
         f"picard: converged in {result.report.iterations} sweeps "

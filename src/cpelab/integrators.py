@@ -171,8 +171,8 @@ def advance(
                 diss_v += dt * sobolev_norm(state.v, 4) ** 2
                 diss_dz += dt * sobolev_norm(ddz(state.sigma), 2) ** 2
                 _, _, new_state = rk4_step(state, dt, rhs)
-                before = nodal_l2(state.v, state.sigma)
-                after = nodal_l2(new_state.v, new_state.sigma)
+                before = nodal_l2(state.v, state.sigma, state.p)
+                after = nodal_l2(new_state.v, new_state.sigma, new_state.p)
                 if not np.isfinite(after) or after > 10.0 * max(before, 1e-300):
                     raise StabilityFault(
                         f"norm grew {before:.3e} -> {after:.3e} in step {n}"
@@ -217,6 +217,7 @@ class PicardReport:
     dt: float
     n_steps: int
     per_step_sampling: bool = False
+    warnings: list[str] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -252,84 +253,90 @@ def picard_solve(
     max_iter: int = 30,
     dt: float | None = None,
     cfl: float = 1.0,
+    tol_bc: float = DEFAULT_TOL_BC,
 ) -> PicardResult:
     """Iterate the frozen-coefficient solution map to its fixed point.
 
     Raises NoContraction (with the partial report attached) when three
     consecutive contraction ratios reach 1, when a linear sweep goes
     unstable, or when max_iter sweeps do not reach tol — all signatures of
-    a horizon T too large for the contraction mechanism.
+    a horizon T too large for the contraction mechanism. Warnings raised on
+    the way are kept in the report, each message text once.
     """
-    if dt is None:
-        dt = stable_dt(initial, params, cfl)
-    n_steps = max(1, math.ceil(T / dt - 1e-12))
-    dt = T / n_steps
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if dt is None:
+            diag = compute_diagnostics(initial, params, tol_bc=tol_bc)
+            dt = stable_dt(initial, params, cfl, diag)
+        n_steps = max(1, math.ceil(T / dt - 1e-12))
+        dt = T / n_steps
 
-    state_bytes = (
-        initial.v.data.nbytes + initial.sigma.data.nbytes + initial.p.data.nbytes
-    )
-    per_step = 4 * n_steps * state_bytes > MEMORY_BUDGET_BYTES
-
-    # sweep 0: the constant-in-time trajectory at the initial data
-    records: list[list[State]] = [[initial] * 4 for _ in range(n_steps)]
-    prev_states: list[State] = [initial] * (n_steps + 1)
-
-    deltas: list[float] = []
-    ratios: list[float] = []
-
-    def make_report(converged: bool, iterations: int) -> PicardReport:
-        return PicardReport(
-            deltas=list(deltas),
-            ratios=list(ratios),
-            converged=converged,
-            iterations=iterations,
-            dt=dt,
-            n_steps=n_steps,
-            per_step_sampling=per_step,
+        state_bytes = (
+            initial.v.data.nbytes + initial.sigma.data.nbytes + initial.p.data.nbytes
         )
+        per_step = 4 * n_steps * state_bytes > MEMORY_BUDGET_BYTES
 
-    for sweep in range(1, max_iter + 1):
-        source_cache: dict[int, tuple] = {}
+        # sweep 0: the constant-in-time trajectory at the initial data
+        records: list[list[State]] = [[initial] * 4 for _ in range(n_steps)]
+        prev_states: list[State] = [initial] * (n_steps + 1)
 
-        def sampler(step: int, stage: int, t: float):
-            rec = records[step][0 if per_step else stage]
-            hit = source_cache.get(id(rec))
-            if hit is None:
-                n1, n2, n3 = frozen_sources(rec, params)
-                hit = (rec.sigma, n1, n2, n3)
-                source_cache[id(rec)] = hit
-            return hit
+        deltas: list[float] = []
+        ratios: list[float] = []
 
-        try:
-            new_records, new_states = advance_coupled_linear(
-                initial, params, dt, n_steps, sampler, record_stages=not per_step
-            )
-        except CpeError as exc:
-            raise NoContraction(
-                f"linear sweep {sweep} failed: {exc}", make_report(False, sweep)
-            ) from exc
-
-        d = _trajectory_delta(new_states, prev_states)
-        deltas.append(d)
-        if len(deltas) >= 2:
-            prev = deltas[-2]
-            ratios.append(d / prev if prev > 0 else 0.0)
-        records = new_records
-        prev_states = new_states
-
-        if d <= tol:
-            return PicardResult(
-                state=new_states[-1],
-                states=new_states,
-                report=make_report(True, sweep),
-            )
-        if len(ratios) >= 3 and all(r >= 1.0 for r in ratios[-3:]):
-            raise NoContraction(
-                f"ratios {ratios[-3:]} show no contraction at T={T:g}",
-                make_report(False, sweep),
+        def make_report(converged: bool, iterations: int) -> PicardReport:
+            return PicardReport(
+                deltas=list(deltas),
+                ratios=list(ratios),
+                converged=converged,
+                iterations=iterations,
+                dt=dt,
+                n_steps=n_steps,
+                per_step_sampling=per_step,
+                warnings=list(dict.fromkeys(str(w.message) for w in caught)),
             )
 
-    raise NoContraction(
-        f"no convergence to {tol:g} within {max_iter} sweeps at T={T:g}",
-        make_report(False, max_iter),
-    )
+        for sweep in range(1, max_iter + 1):
+            source_cache: dict[int, tuple] = {}
+
+            def sampler(step: int, stage: int, t: float):
+                rec = records[step][0 if per_step else stage]
+                hit = source_cache.get(id(rec))
+                if hit is None:
+                    n1, n2, n3 = frozen_sources(rec, params, tol_bc=tol_bc)
+                    hit = (rec.sigma, n1, n2, n3)
+                    source_cache[id(rec)] = hit
+                return hit
+
+            try:
+                new_records, new_states = advance_coupled_linear(
+                    initial, params, dt, n_steps, sampler, record_stages=not per_step
+                )
+            except CpeError as exc:
+                raise NoContraction(
+                    f"linear sweep {sweep} failed: {exc}", make_report(False, sweep)
+                ) from exc
+
+            d = _trajectory_delta(new_states, prev_states)
+            deltas.append(d)
+            if len(deltas) >= 2:
+                prev = deltas[-2]
+                ratios.append(d / prev if prev > 0 else 0.0)
+            records = new_records
+            prev_states = new_states
+
+            if d <= tol:
+                return PicardResult(
+                    state=new_states[-1],
+                    states=new_states,
+                    report=make_report(True, sweep),
+                )
+            if len(ratios) >= 3 and all(r >= 1.0 for r in ratios[-3:]):
+                raise NoContraction(
+                    f"ratios {ratios[-3:]} show no contraction at T={T:g}",
+                    make_report(False, sweep),
+                )
+
+        raise NoContraction(
+            f"no convergence to {tol:g} within {max_iter} sweeps at T={T:g}",
+            make_report(False, max_iter),
+        )

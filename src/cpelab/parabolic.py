@@ -50,9 +50,9 @@ def advance_coupled_linear(
             return frozen_tendency(s, params, sigma_k, sources)
 
         stages, k1, new_state = rk4_step(state, dt, rhs)
-        before = nodal_l2(state.v, state.sigma)
-        after = nodal_l2(new_state.v, new_state.sigma)
-        floor = max(before, dt * nodal_l2(k1.dv, k1.dsigma), 1e-300)
+        before = nodal_l2(state.v, state.sigma, state.p)
+        after = nodal_l2(new_state.v, new_state.sigma, new_state.p)
+        floor = max(before, dt * nodal_l2(k1.dv, k1.dsigma, k1.dp), 1e-300)
         if not np.isfinite(after) or after > STABILITY_GROWTH * floor:
             raise StabilityFault(
                 f"linear sweep norm grew {before:.3e} -> {after:.3e} in step {n}"

@@ -251,14 +251,16 @@ def frozen_sources(
     params: PhysParams,
     diag: DiagnosticFields | None = None,
     ws: ProductWorkspace | None = None,
+    tol_bc: float = DEFAULT_TOL_BC,
 ):
     """(N_1, N_2, N_3) for the frozen-coefficient linear problems.
 
     N_1 = Phi_1; N_2 = Phi_2 - v . grad_h sigma; N_3 = Phi_3 - vbar . grad_h p.
+    Without ``diag``, the diagnostics are evaluated here with ``tol_bc``.
     """
     ws = ws or ProductWorkspace(state.grid)
     if diag is None:
-        diag = compute_diagnostics(state, params, ws)
+        diag = compute_diagnostics(state, params, ws, tol_bc)
     sources = _source_terms(state, params, diag, *_velocity(state))
     out = _assemble(state.grid, (sources,), ws)
     return out.dv, out.dsigma, out.dp

@@ -114,9 +114,15 @@ def test_constraint_faults_name_the_full_key(tmp_path, capsys, text, message):
 
 
 def test_cli_import_leaves_sympy_unloaded():
-    """Only the manufactured-solution forcing needs sympy; run and picard
-    must not pay for importing it."""
-    probe = "import sys, cpelab.cli; print('sympy' in sys.modules)"
+    """The library never imports sympy: not with the CLI, and not in a
+    manufactured-solution run, whose forcing is written in closed form."""
+    probe = (
+        "import sys, cpelab.cli\n"
+        "from cpelab import PhysParams\n"
+        "from cpelab.experiments import mms_run\n"
+        "mms_run('A-osc', 8, 1e-4, 2e-4, PhysParams())\n"
+        "print('sympy' in sys.modules)"
+    )
     src = str(Path(cpelab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(
@@ -138,6 +144,22 @@ def test_picard_constant_converges_fast(tmp_path, capsys):
     rows = read_rows(out / "picard.csv")
     assert len(rows) == sweeps
     assert float(rows[-1]["delta"]) <= 1e-9
+
+
+@pytest.mark.parametrize("escalate", ["false", "true"])
+def test_picard_prints_warnings_under_run_tol_bc(tmp_path, capsys, escalate):
+    """cpelab picard, escalating or not, evaluates with run.tol_bc and prints
+    each warning text once (band 5 squares past the retained modes, so the
+    nodal heating dips below zero)."""
+    text = (
+        "[grid]\nnx = 16\nny = 16\nnz = 16\n"
+        "[initial]\nfamily = smooth-random\namplitude = 0.5\nband = 5, 5, 5\n"
+        "[run]\ntol_bc = 1e-30\nseed = 2\n"
+        f"[picard]\nt = 1e-4\nmax_iter = 1\nmax_levels = 1\nescalate = {escalate}\n"
+    )
+    launch(tmp_path, text, command="picard")
+    err = capsys.readouterr().err
+    assert err.count("warning: nodal heating dipped below -tol_bc") == 1
 
 
 def test_picard_budget_exhausted_exits_3_with_partial_csv(tmp_path, capsys):

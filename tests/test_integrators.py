@@ -91,6 +91,37 @@ def test_advance_passes_tol_bc(grid16, params, tol_bc, warned):
     assert (dip in res.warnings) == warned
 
 
+@pytest.mark.parametrize("tol_bc, warned", [(10.0, False), (1e-30, True)])
+def test_picard_passes_tol_bc(grid16, params, tol_bc, warned):
+    """run.tol_bc reaches picard_solve's stable_dt and frozen sources, and the
+    heating warning is kept in the report instead of escaping."""
+    st = make_initial(
+        "smooth-random", grid16, params, amplitude=0.5, band=(5, 5, 5), seed=2
+    )
+    with warnings.catch_warnings(record=True) as leaked:
+        warnings.simplefilter("always")
+        try:
+            report = picard_solve(st, params, T=1e-4, max_iter=1, tol_bc=tol_bc).report
+        except NoContraction as exc:
+            report = exc.report
+    assert report.iterations == 1
+    assert not [w for w in leaked if issubclass(w.category, QNegativityWarning)]
+    dip = "nodal heating dipped below -tol_bc (dealiasing truncation)"
+    assert (dip in report.warnings) == warned
+
+
+def test_growth_detector_watches_p(grid16, params):
+    """A step that grows only p tenfold is a StabilityFault."""
+    st = constant_state(grid16)
+
+    def forcing(t):
+        return 0.0, 0.0, 1e5  # p: 1 -> 101 in one step; v and sigma stay put
+
+    res = advance(st, params, RunOptions(t_final=1e-3, dt=1e-3), forcing=forcing)
+    assert isinstance(res.fault, StabilityFault)
+    assert res.n_steps == 1 and res.state is st
+
+
 def test_run_options_validation():
     with pytest.raises(ConstraintFault):
         RunOptions(t_final=0.0)
