@@ -132,12 +132,15 @@ def _cmd_mms(cfg: RunConfig, out: Path, args) -> int:
 
 def _cmd_eps_sweep(cfg: RunConfig, out: Path, args) -> int:
     initial = _initial_state(cfg)
-    sw = epsilon_sweep(initial, cfg.params, cfg.eps_sweep.T, cfg.eps_sweep.eps)
+    sw = epsilon_sweep(
+        initial, cfg.params, cfg.eps_sweep.T, cfg.eps_sweep.eps, tol_bc=cfg.run.tol_bc
+    )
     _write_csv(
         out / "eps_sweep.csv",
         ("epsilon", "delta"),
         list(zip(sw.eps, sw.deltas)),
     )
+    _print_warnings(sw.warnings)
     _say(
         args,
         f"eps-sweep: T={sw.T:g} dt={sw.dt:.6g} "
@@ -152,13 +155,19 @@ def _cmd_perturb(cfg: RunConfig, out: Path, args) -> int:
         cfg.grid, band=cfg.perturb.direction_band, seed=cfg.perturb.direction_seed
     )
     dep = continuous_dependence(
-        initial, direction, cfg.perturb.deltas, cfg.params, cfg.perturb.T
+        initial,
+        direction,
+        cfg.perturb.deltas,
+        cfg.params,
+        cfg.perturb.T,
+        tol_bc=cfg.run.tol_bc,
     )
     _write_csv(
         out / "perturb.csv",
         ("delta", "response", "dissipation"),
         [(r.delta, r.response, r.dissipation) for r in dep.rows],
     )
+    _print_warnings(dep.warnings)
     _say(
         args,
         f"perturb: responses vary {dep.max_response_variation:.4f}x, "

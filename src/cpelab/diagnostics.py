@@ -51,25 +51,31 @@ def heating(
 ) -> ScalarField3D:
     """Q = S_h : grad_h v + mu |dz v|^2, S_h the horizontal stress.
 
-    With a = d1v1, b = d2v1, c = d1v2, d = d2v2 the contraction expands to
-    mu (2a^2 + 2d^2 + (b+c)^2) + lambda (a+d)^2, all products dealiased.
-    Q can dip negative when lambda < 0; that is reported as a warning, not
-    an error, since only mu + lambda > 0 is guaranteed.
+    With a = d1v1, b = d2v1, c = d1v2, d = d2v2 the contraction
+    mu (2a^2 + 2d^2 + (b+c)^2) + lambda (a+d)^2 is summed expanded,
+
+        (2mu+lambda) (a^2 + d^2) + mu (b^2 + 2bc + c^2) + 2 lambda ad
+        + mu (|dz v1|^2 + |dz v2|^2),
+
+    all products dealiased, so that only the six factors a, b, c, d, dz v1,
+    dz v2 are synthesized (b and c are Phi_1's again). Q can dip negative
+    when lambda < 0; that is reported as a warning, not an error, since
+    only mu + lambda > 0 is guaranteed.
     """
     ws = ws or ProductWorkspace(v.grid)
     mu, lam = params.mu, params.lam
     v1, v2 = factor(v.component(0)), factor(v.component(1))
     a, b = v1.dx(), v1.dy()
     c, d = v2.dx(), v2.dy()
-    bc = b + c
-    tr = a + d
     vz1, vz2 = v1.dz(), v2.dz()
     Q = dealiased_sum(
         [
-            (a, a, 2.0 * mu),
-            (d, d, 2.0 * mu),
-            (bc, bc, mu),
-            (tr, tr, lam),
+            (a, a, 2.0 * mu + lam),
+            (d, d, 2.0 * mu + lam),
+            (b, b, mu),
+            (b, c, 2.0 * mu),
+            (c, c, mu),
+            (a, d, 2.0 * lam),
             (vz1, vz1, mu),
             (vz2, vz2, mu),
         ],
@@ -105,10 +111,13 @@ def phi_field(
     if Q is None:
         Q = heating(v, params, ws)
     gamma = params.gamma
-    vt1 = factor(v.component(0)).fluct()
-    vt2 = factor(v.component(1)).fluct()
+    v1, v2 = factor(v.component(0)), factor(v.component(1))
     px, py = factor(p).dx(), factor(p).dy()
-    transport = dealiased_sum([(vt1, px), (vt2, py)], ws)
+    # vtilde . grad_h p = v . grad_h p - vbar . grad_h p: v and vbar are
+    # factors of Phi_1 and of the p transport, vtilde of nothing else
+    transport = dealiased_sum(
+        [(v1, px), (v2, py), (v1.mean(), px, -1.0), (v2.mean(), py, -1.0)], ws
+    )
     qt = ws.field(factor(Q).fluct())
     numer = transport.data - (gamma - 1.0) * qt.data
     core = ws.field(divergence(v).fluct())

@@ -10,11 +10,12 @@ The tests check the closed form against a symbolic derivation.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diagnostics import DEFAULT_TOL_BC
+from .diagnostics import DEFAULT_TOL_BC, compute_diagnostics
 from .errors import NoContraction, UsageFault
 from .fields import COS, ScalarField2D, ScalarField3D, State, VectorField3D2C
 from .grid import Grid
@@ -274,12 +275,23 @@ def mms_spatial(
 # ---------------------------------------------------------------------------
 
 
+def _initial_dt(initial: State, params: PhysParams, tol_bc: float):
+    """stable_dt of the initial state, its diagnostics evaluated with tol_bc,
+    and the message texts of the warnings they raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        diag = compute_diagnostics(initial, params, tol_bc=tol_bc)
+        dt = stable_dt(initial, params, diag=diag)
+    return dt, [str(w.message) for w in caught]
+
+
 @dataclass(frozen=True)
 class EpsSweepResult:
     eps: tuple[float, ...]
     deltas: tuple[float, ...]
     dt: float
     T: float
+    warnings: tuple[str, ...] = ()  # each message text once
 
     @property
     def strictly_decreasing(self) -> bool:
@@ -292,27 +304,33 @@ def epsilon_sweep(
     T: float,
     eps_list: tuple[float, ...],
     dt: float | None = None,
+    tol_bc: float = DEFAULT_TOL_BC,
 ) -> EpsSweepResult:
     """Distance at time T to the eps=0 reference, one run per eps.
 
     The step is frozen from the stiffest (largest-eps) member so every
     member sees identical time discretization and the distances reflect the
-    regularization alone.
+    regularization alone. Every diagnostics evaluation uses ``tol_bc``; the
+    warnings of the step bound and of the runs are kept in the result.
     """
     eps_sorted = tuple(sorted(eps_list, reverse=True))
+    seen: list[str] = []
     if dt is None:
-        dt = stable_dt(initial, replace(params, epsilon=eps_sorted[0]))
-    opts = RunOptions(t_final=T, dt=dt, record_every=10**9)
+        dt, seen = _initial_dt(initial, replace(params, epsilon=eps_sorted[0]), tol_bc)
+    opts = RunOptions(t_final=T, dt=dt, record_every=10**9, tol_bc=tol_bc)
 
     def run(eps: float) -> State:
         res = advance(initial, replace(params, epsilon=eps), opts)
+        seen.extend(res.warnings)
         if res.fault is not None:
             raise res.fault
         return res.state
 
     reference = run(0.0)
     deltas = tuple(difference_norm(run(e), reference) for e in eps_sorted)
-    return EpsSweepResult(eps=eps_sorted, deltas=deltas, dt=dt, T=T)
+    return EpsSweepResult(
+        eps=eps_sorted, deltas=deltas, dt=dt, T=T, warnings=tuple(dict.fromkeys(seen))
+    )
 
 
 @dataclass(frozen=True)
@@ -328,6 +346,7 @@ class DependenceResult:
     slope: float
     dt: float
     T: float
+    warnings: tuple[str, ...] = ()  # each message text once
 
     @property
     def max_response_variation(self) -> float:
@@ -342,20 +361,30 @@ def continuous_dependence(
     params: PhysParams,
     T: float,
     dt: float | None = None,
+    tol_bc: float = DEFAULT_TOL_BC,
 ) -> DependenceResult:
+    """Response and dissipation of the gap to the base run, per delta.
+
+    Every diagnostics evaluation uses ``tol_bc``; the warnings of the step
+    bound and of the runs are kept in the result."""
     from .initial import perturbed
 
+    seen: list[str] = []
     if dt is None:
-        dt = stable_dt(initial, params)
-    opts = RunOptions(t_final=T, dt=dt, record_every=10**9, keep_states=True)
+        dt, seen = _initial_dt(initial, params, tol_bc)
+    opts = RunOptions(
+        t_final=T, dt=dt, record_every=10**9, tol_bc=tol_bc, keep_states=True
+    )
 
     base = advance(initial, params, opts)
+    seen.extend(base.warnings)
     if base.fault is not None:
         raise base.fault
 
     rows = []
     for delta in deltas:
         res = advance(perturbed(initial, direction, delta), params, opts)
+        seen.extend(res.warnings)
         if res.fault is not None:
             raise res.fault
         response = difference_norm(res.state, base.state) / delta
@@ -381,7 +410,9 @@ def continuous_dependence(
 
     logs = np.log([r.delta for r in rows])
     slope = float(np.polyfit(logs, np.log([r.dissipation for r in rows]), 1)[0])
-    return DependenceResult(rows=tuple(rows), slope=slope, dt=dt, T=T)
+    return DependenceResult(
+        rows=tuple(rows), slope=slope, dt=dt, T=T, warnings=tuple(dict.fromkeys(seen))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ odd tags in arithmetic is a usage error (no equation term ever needs it).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -37,6 +38,10 @@ def _check(data: np.ndarray, shape: tuple, what: str) -> np.ndarray:
     return data
 
 
+def _buffer_key(data: np.ndarray, kind: str | None) -> tuple:
+    return (data.__array_interface__["data"][0], data.strides, data.shape, kind)
+
+
 def _add_parity(a: str, b: str) -> str:
     if a == b:
         return a
@@ -57,6 +62,13 @@ class ScalarField3D:
         object.__setattr__(
             self, "data", _check(self.data, self.grid.shape3d, "ScalarField3D")
         )
+
+    @cached_property
+    def buffer_key(self) -> tuple:
+        """Identity of the nodal buffer and parity, equal for every view of
+        it (``v.component(i)`` makes a new view on each call); built once per
+        view."""
+        return _buffer_key(self.data, self.parity)
 
     def __add__(self, other: "ScalarField3D") -> "ScalarField3D":
         _same_grid(self, other)
@@ -129,6 +141,11 @@ class ScalarField2D:
         object.__setattr__(
             self, "data", _check(self.data, self.grid.shape2d, "ScalarField2D")
         )
+
+    @cached_property
+    def buffer_key(self) -> tuple:
+        """Identity of the nodal buffer, built once per view."""
+        return _buffer_key(self.data, None)
 
     def __add__(self, other: "ScalarField2D") -> "ScalarField2D":
         _same_grid(self, other)

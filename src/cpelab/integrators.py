@@ -295,8 +295,12 @@ def picard_solve(
                 warnings=list(dict.fromkeys(str(w.message) for w in caught)),
             )
 
+        source_cache: dict[int, tuple] = {}
         for sweep in range(1, max_iter + 1):
-            source_cache: dict[int, tuple] = {}
+            # keyed by id, so only live records may stay: the initial state
+            # is records[0][0] in every sweep, its sources are kept
+            kept = source_cache.get(id(initial))
+            source_cache = {} if kept is None else {id(initial): kept}
 
             def sampler(step: int, stage: int, t: float):
                 rec = records[step][0 if per_step else stage]

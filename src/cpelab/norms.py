@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product as iproduct
 
 import numpy as np
@@ -24,42 +25,43 @@ def _parseval_weight_2d(grid) -> np.ndarray:
     return (2.0 * np.pi) ** 2 * wy[None, :]
 
 
-def _parseval_weight_z(grid, parity: str, nmodes: int) -> np.ndarray:
-    if parity == COS:
-        wz = np.full(nmodes, 2.0)
-        wz[0] = 1.0
+@lru_cache(maxsize=64)
+def _sobolev_weight(grid, parity: str | None, k: int) -> np.ndarray:
+    """sum_{a+b+c<=k} kx^2a ky^2b (pi m)^2c times the Parseval weights, laid
+    out like the spectrum of a field of the given parity (None: a 2D field),
+    so that ||f||_{H^k}^2 is one weighted sum of its power spectrum."""
+    kx2 = (grid.kx**2)[:, None, None]
+    ky2 = (grid.ky_half**2)[None, :, None]
+    weight = _parseval_weight_2d(grid)[..., None]
+    if parity is None:
+        mz2 = np.zeros(1)  # only the terms with c = 0 count
     else:
-        wz = np.full(nmodes, 2.0)
-    return wz
+        nz = grid.nz
+        m = np.arange(nz + 1) if parity == COS else np.arange(1, nz)
+        mz2 = (np.pi * m) ** 2
+        # cosine mode 0 counts once, every other mode twice
+        wz = np.full(m.shape, 2.0)
+        if parity == COS:
+            wz[0] = 1.0
+        weight = weight * wz
+    total = sum(
+        kx2**a * ky2**b * mz2**c
+        for a, b, c in iproduct(range(k + 1), repeat=3)
+        if a + b + c <= k
+    )
+    out = weight * total
+    if parity is None:
+        out = out[..., 0]
+    out.setflags(write=False)
+    return out
 
 
 def _scalar_sq_norm(field, k: int) -> float:
-    g = field.grid
     spec = spectrum(field)
-    power = np.abs(spec) ** 2
-    kx2 = (g.kx ** 2)[:, None]
-    ky2 = (g.ky_half ** 2)[None, :]
-    if power.ndim == 2:
-        power *= _parseval_weight_2d(g)
-        total = 0.0
-        for a, b in iproduct(range(k + 1), repeat=2):
-            if a + b > k:
-                continue
-            total += float(np.sum(power * kx2 ** a * ky2 ** b))
-        return total
-    nmodes = power.shape[-1]
-    m = np.arange(nmodes) if field.parity == COS else np.arange(1, nmodes + 1)
-    mz2 = ((np.pi * m) ** 2)[None, None, :]
-    power *= _parseval_weight_2d(g)[..., None]
-    power *= _parseval_weight_z(g, field.parity, nmodes)[None, None, :]
-    total = 0.0
-    for a, b, c in iproduct(range(k + 1), repeat=3):
-        if a + b + c > k:
-            continue
-        total += float(
-            np.sum(power * kx2[..., None] ** a * ky2[..., None] ** b * mz2 ** c)
-        )
-    return total
+    parity = field.parity if isinstance(field, ScalarField3D) else None
+    power = spec.real**2 + spec.imag**2
+    power *= _sobolev_weight(field.grid, parity, k)
+    return float(power.sum())
 
 
 def sobolev_norm(field, k: int) -> float:

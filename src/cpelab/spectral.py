@@ -189,20 +189,29 @@ class Factor:
     "fluct" (the z-fluctuation), "mean" (the vertical average, 3D -> 2D)
     and "cumint" (int_0^z, cos -> zlin). ``ProductWorkspace`` applies them
     to the parents' memoized coefficients, so a derivative factor costs no
-    coarse nodal copy. A plain field is the identity factor.
+    coarse nodal copy. A plain field is the identity factor. The kind is
+    carried from factor to factor and the memo key is built once.
     """
 
-    __slots__ = ("terms", "kind")
+    __slots__ = ("terms", "kind", "_key")
 
-    def __init__(self, terms):
+    def __init__(self, terms, kind: str | None = None):
         self.terms = tuple(terms)
-        kind = None
-        for _, ops, f in self.terms:
-            k = _kind(f)
-            for op in ops:
-                k = _op_kind(op, k)
-            kind = k if kind is None else _add_parity(kind, k)
+        self._key = None
+        if kind is None:
+            for _, ops, f in self.terms:
+                k = _kind(f)
+                for op in ops:
+                    k = _op_kind(op, k)
+                kind = k if kind is None else _add_parity(kind, k)
         self.kind = kind
+
+    @property
+    def key(self) -> tuple:
+        """Memo key of the fine samples: the terms, fields by buffer."""
+        if self._key is None:
+            self._key = tuple((c, ops, f.buffer_key) for c, ops, f in self.terms)
+        return self._key
 
     @property
     def grid(self) -> Grid:
@@ -213,7 +222,10 @@ class Factor:
         return all(op in _Z_OPS for _, ops, _ in self.terms for op in ops)
 
     def _then(self, op: str) -> "Factor":
-        return Factor((c, ops + (op,), f) for c, ops, f in self.terms)
+        # an operator maps the kind of a sum as it maps each term's kind
+        return Factor(
+            ((c, ops + (op,), f) for c, ops, f in self.terms), _op_kind(op, self.kind)
+        )
 
     def dx(self) -> "Factor":
         return self._then("x")
@@ -243,13 +255,14 @@ class Factor:
         return self._then("cumint")
 
     def __add__(self, other) -> "Factor":
-        return Factor(self.terms + factor(other).terms)
+        other = factor(other)
+        return Factor(self.terms + other.terms, _add_parity(self.kind, other.kind))
 
     def __sub__(self, other) -> "Factor":
         return self + -factor(other)
 
     def __mul__(self, c: float) -> "Factor":
-        return Factor((float(c) * k, ops, f) for k, ops, f in self.terms)
+        return Factor(((float(c) * k, ops, f) for k, ops, f in self.terms), self.kind)
 
     __rmul__ = __mul__
 
@@ -352,13 +365,6 @@ def _trunc_h(fine: np.ndarray, g: Grid, coarse_shape) -> np.ndarray:
     return out
 
 
-def _buffer_key(f) -> tuple:
-    """Identity of a field's nodal buffer; equal for every view of it
-    (``v.component(i)`` makes a new view on each call)."""
-    a = f.data
-    return (a.__array_interface__["data"][0], a.strides, a.shape, _kind(f))
-
-
 class _Coeffs:
     """A field's z amplitudes and, once asked for, their horizontal spectrum."""
 
@@ -399,7 +405,7 @@ class ProductWorkspace:
     # -- coefficients --
 
     def coeffs(self, f) -> _Coeffs:
-        key = _buffer_key(f)
+        key = f.buffer_key
         hit = self._coeffs.get(key)
         if hit is not None:
             return hit[1]
@@ -408,7 +414,7 @@ class ProductWorkspace:
         return c
 
     def _seed(self, f, zc: np.ndarray, spec: np.ndarray | None = None):
-        self._coeffs[_buffer_key(f)] = (f.data, _Coeffs(zc, spec))
+        self._coeffs[f.buffer_key] = (f.data, _Coeffs(zc, spec))
         return f
 
     def _apply(self, op: str, a: np.ndarray, kind: str) -> np.ndarray:
@@ -474,7 +480,7 @@ class ProductWorkspace:
         """Samples of a field or factor on the 3/2 grid; a memo hit makes
         no transform."""
         f = factor(f)
-        key = tuple((c, ops, _buffer_key(g)) for c, ops, g in f.terms)
+        key = f.key
         hit = self._fine.get(key)
         if hit is not None:
             return hit
@@ -544,6 +550,28 @@ def _fine_factor(ws: ProductWorkspace, f):
     return ws.fine3(f)
 
 
+def _accumulate(products, shape) -> np.ndarray:
+    """sum c * (F * G) over the fine factor pairs, in order, into one new
+    array; full-size products go through one scratch array. Factor arrays
+    are memo entries (a 2D one a view), so they are never written."""
+    acc = np.empty(shape)
+    scratch = None
+    for i, (F, G, c) in enumerate(products):
+        if i == 0:
+            prod = np.multiply(F, G, out=acc)
+        elif F.shape == shape or G.shape == shape:
+            if scratch is None:
+                scratch = np.empty(shape)
+            prod = np.multiply(F, G, out=scratch)
+        else:  # a 2D x 2D term of a 3D sum: broadcast along z when added
+            prod = F * G
+        if c != 1.0:
+            prod *= c
+        if i:
+            acc += prod
+    return acc
+
+
 def dealiased_sum(terms, ws: ProductWorkspace | None = None):
     """Sum of pointwise products sharing one output basis, one reduction.
 
@@ -554,26 +582,23 @@ def dealiased_sum(terms, ws: ProductWorkspace | None = None):
     factors are analyzed in sine space (exact up to their linear-slope
     content, which for the vertical velocity is the roundoff-sized integral
     of phi). Scalar coefficients multiply exactly and keep the factors
-    memoizable across terms.
+    memoizable across terms; a factor shared by several terms is
+    synthesized once.
     """
     terms = [t if len(t) == 3 else (t[0], t[1], 1.0) for t in terms]
     if not terms:
         raise UsageFault("dealiased_sum needs at least one term")
     ws = ws or ProductWorkspace(terms[0][0].grid)
-    if all(_kind(f) == _2D and _kind(g) == _2D for f, g, _ in terms):
-        acc = None
-        for f, g, c in terms:
-            prod = c * (ws.fine2(f) * ws.fine2(g))
-            acc = prod if acc is None else acc + prod
-        return ws.reduce2(acc)
-    odd_flags = {_is_odd(f) != _is_odd(g) for f, g, _ in terms}
+    g = ws.grid
+    if all(_kind(f) == _2D and _kind(h) == _2D for f, h, _ in terms):
+        products = [(ws.fine2(f), ws.fine2(h), c) for f, h, c in terms]
+        return ws.reduce2(_accumulate(products, (g.fine_nx, g.fine_ny)))
+    odd_flags = {_is_odd(f) != _is_odd(h) for f, h, _ in terms}
     if len(odd_flags) != 1:
         raise UsageFault("dealiased_sum terms have mixed output parity")
-    acc = None
-    for f, g, c in terms:
-        prod = c * (_fine_factor(ws, f) * _fine_factor(ws, g))
-        acc = prod if acc is None else acc + prod
-    return ws.reduce3(acc, odd=odd_flags.pop())
+    products = [(_fine_factor(ws, f), _fine_factor(ws, h), c) for f, h, c in terms]
+    shape = (g.fine_nx, g.fine_ny, g.fine_nz + 1)
+    return ws.reduce3(_accumulate(products, shape), odd=odd_flags.pop())
 
 
 # ---------------------------------------------------------------------------

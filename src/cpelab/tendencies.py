@@ -7,6 +7,11 @@ is either a dealiased product (f, g, coef) or a plain field; each output
 takes one reduction over its products, then adds its plain fields in order.
 Derivative factors are lazy ``Factor``s, synthesized on the product grid
 from the parents' coefficients; a lazy plain term is made nodal first.
+Terms that multiply the same field are one product of it with the sum of
+their factors: sigma_c times the whole linear velocity operator, and, in
+the full tendency where sigma_c is sigma, sigma times div_h v - phi
++ nu dzz sigma. The lists are written that way; nothing is merged at run
+time.
 
 * ``regularized_tendency``: sources + linear part at sigma_c = sigma;
 * ``frozen_sources``: the sources alone, N_1/N_2/N_3 of the linear sweeps;
@@ -89,9 +94,14 @@ def _phi1_terms(v1, v2, sigma, w, grad_p):
     ]
 
 
-def _phi2_terms(sigma, divv, diag: DiagnosticFields):
-    """Phi_2 = -w dz sigma + sigma (div_h v - phi)."""
-    return [(diag.w, sigma.dz(), -1.0), (sigma, divv - diag.phi, 1.0)]
+def _phi2_terms(sigma, divv, diag: DiagnosticFields, with_sigma=None):
+    """Phi_2 = -w dz sigma + sigma (div_h v - phi). ``with_sigma``: a factor
+    that also multiplies sigma, taken into the same product (the full
+    tendency's nu dzz sigma, whose coefficient sigma_c is sigma)."""
+    compress = divv - diag.phi
+    if with_sigma is not None:
+        compress = compress + with_sigma
+    return [(diag.w, sigma.dz(), -1.0), (sigma, compress, 1.0)]
 
 
 def _phi3_terms(p, divv, Q, params: PhysParams):
@@ -102,36 +112,41 @@ def _phi3_terms(p, divv, Q, params: PhysParams):
     ]
 
 
-def _source_terms(state, params: PhysParams, diag: DiagnosticFields, v1, v2, divv):
+def _source_terms(
+    state, params: PhysParams, diag: DiagnosticFields, v1, v2, divv, with_sigma=None
+):
     """Sources per output ([dv1, dv2], dsigma, dp): the Phi products, with
-    -v . grad_h sigma and -vbar . grad_h p ahead of Phi_2 and Phi_3."""
+    -v . grad_h sigma and -vbar . grad_h p ahead of Phi_2 and Phi_3.
+    ``with_sigma`` joins Phi_2's sigma product (see ``_phi2_terms``)."""
     sigma, p = factor(state.sigma), factor(state.p)
     grad_p = (p.dx(), p.dy())
     sigma_transport = [(v1, sigma.dx(), -1.0), (v2, sigma.dy(), -1.0)]
     p_transport = [(v1.mean(), grad_p[0], -1.0), (v2.mean(), grad_p[1], -1.0)]
     return (
         _phi1_terms(v1, v2, sigma, diag.w, grad_p),
-        sigma_transport + _phi2_terms(sigma, divv, diag),
+        sigma_transport + _phi2_terms(sigma, divv, diag, with_sigma),
         p_transport + _phi3_terms(p, divv, diag.Q, params),
     )
 
 
-def _linear_terms(state, params: PhysParams, sigma_c: ScalarField3D, v1, v2, divv):
-    """Linear part per output ([dv1, dv2], dsigma, dp) in the coefficient sigma_c:
-    mu sigma_c Lap v + (mu+lambda) sigma_c grad_h div_h v,
-    nu sigma_c dzz sigma + eps Lap_h sigma, and eps Lap_h p."""
-    mu, lam, eps = params.mu, params.lam, params.epsilon
-    sigma, p = factor(state.sigma), factor(state.p)
+def _linear_factors(state, params: PhysParams, v1, v2, divv):
+    """What the coefficient sigma_c multiplies in the linear part: per
+    velocity component mu Lap v_i + (mu+lambda) d_i div_h v, one factor
+    each, and nu dzz sigma."""
+    mu, lam = params.mu, params.lam
     dv = [
-        [(sigma_c, vi.lap3(), mu), (sigma_c, d, mu + lam)]
+        mu * vi.lap3() + (mu + lam) * d
         for vi, d in ((v1, divv.dx()), (v2, divv.dy()))
     ]
-    dsigma = [(sigma_c, sigma.dzz(), params.nu)]
-    dp = []
-    if eps != 0.0:
-        dsigma.append(eps * sigma.lap_h())
-        dp.append(eps * p.lap_h())
-    return dv, dsigma, dp
+    return dv, params.nu * factor(state.sigma).dzz()
+
+
+def _eps_terms(state, params: PhysParams):
+    """The plain terms eps Lap_h sigma and eps Lap_h p (none when eps = 0)."""
+    eps = params.epsilon
+    if eps == 0.0:
+        return [], []
+    return [eps * factor(state.sigma).lap_h()], [eps * factor(state.p).lap_h()]
 
 
 def _reduce(terms, ws: ProductWorkspace):
@@ -241,8 +256,11 @@ def regularized_tendency(
     if diag is None:
         diag = compute_diagnostics(state, params, ws, tol_bc)
     v1, v2, divv = _velocity(state)
-    sources = _source_terms(state, params, diag, v1, v2, divv)
-    linear = _linear_terms(state, params, state.sigma, v1, v2, divv)
+    lin_v, lin_sigma = _linear_factors(state, params, v1, v2, divv)
+    # sigma_c is sigma: nu dzz sigma rides in Phi_2's sigma product
+    sources = _source_terms(state, params, diag, v1, v2, divv, with_sigma=lin_sigma)
+    sigma = state.sigma
+    linear = ([(sigma, lin_v[0])], [(sigma, lin_v[1])]), *_eps_terms(state, params)
     return _assemble(state.grid, (sources, linear), ws)
 
 
@@ -283,7 +301,13 @@ def frozen_tendency(
     """
     ws = ws or ProductWorkspace(state.grid)
     n1, n2, n3 = sources
-    linear = _linear_terms(state, params, sigma_k, *_velocity(state))
+    lin_v, lin_sigma = _linear_factors(state, params, *_velocity(state))
+    eps_sigma, eps_p = _eps_terms(state, params)
+    linear = (
+        ([(sigma_k, lin_v[0])], [(sigma_k, lin_v[1])]),
+        [(sigma_k, lin_sigma)] + eps_sigma,
+        eps_p,
+    )
     frozen = ([n1.component(0)], [n1.component(1)]), [n2], [n3]
     return _assemble(state.grid, (linear, frozen), ws)
 

@@ -1,9 +1,18 @@
 """Manufactured solutions, sweeps, dependence, Picard escalation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from cpelab import Grid, PhysParams, UsageFault, make_initial, perturbation_direction
+from cpelab import (
+    Grid,
+    PhysParams,
+    QNegativityWarning,
+    UsageFault,
+    make_initial,
+    perturbation_direction,
+)
 from cpelab.experiments import (
     continuous_dependence,
     epsilon_sweep,
@@ -79,6 +88,29 @@ def test_continuous_dependence_quadratic_dissipation(weak_params):
     assert 1.7 <= out.slope <= 2.3
     for row in out.rows:
         assert row.dissipation > 0.0
+
+
+@pytest.mark.parametrize("tol_bc, warned", [(10.0, False), (1e-30, True)])
+def test_sweeps_pass_tol_bc(grid16, params, tol_bc, warned):
+    """run.tol_bc reaches the step bound and every run of epsilon_sweep and
+    continuous_dependence, and the heating warning is kept in the result
+    instead of escaping."""
+    # band 5 squares past the retained modes: the nodal Q dips to about -2
+    st = make_initial(
+        "smooth-random", grid16, params, amplitude=0.5, band=(5, 5, 5), seed=2
+    )
+    direction = perturbation_direction(grid16, seed=4)
+    with warnings.catch_warnings(record=True) as leaked:
+        warnings.simplefilter("always")
+        sweep = epsilon_sweep(st, params, 1e-4, (1e-2,), tol_bc=tol_bc)
+        dep = continuous_dependence(
+            st, direction, (1e-3, 1e-4), params, 1e-4, tol_bc=tol_bc
+        )
+    assert not [w for w in leaked if issubclass(w.category, QNegativityWarning)]
+    dip = "nodal heating dipped below -tol_bc (dealiasing truncation)"
+    for result in (sweep, dep):
+        assert (dip in result.warnings) == warned
+        assert len(set(result.warnings)) == len(result.warnings)
 
 
 def test_picard_escalation_small_horizon_converges(grid16, weak_params):

@@ -1,6 +1,7 @@
 """Parseval Sobolev norms, the energy functional, difference norms."""
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -108,3 +109,58 @@ def test_log_energy_slope():
         for t in ts
     ]
     np.testing.assert_allclose(log_energy_slope(reports), -1.75, rtol=1e-10)
+
+
+def _derivative_sum_sq(field, k):
+    """||f||_{H^k}^2 as the sum over |alpha| <= k of ||D^alpha f||_2^2, one
+    Parseval sum per multi-index."""
+    from itertools import product
+
+    from cpelab.spectral import spectrum
+
+    g = field.grid
+    power = np.abs(spectrum(field)) ** 2
+    wy = np.full(g.ny // 2 + 1, 2.0)
+    wy[0] = 1.0
+    kx2 = (g.kx**2)[:, None]
+    ky2 = (g.ky_half**2)[None, :]
+    wh = (2.0 * np.pi) ** 2 * wy[None, :]
+    if power.ndim == 2:
+        power = power * wh
+        return sum(
+            float(np.sum(power * kx2**a * ky2**b))
+            for a, b in product(range(k + 1), repeat=2)
+            if a + b <= k
+        )
+    n = power.shape[-1]
+    m = np.arange(n) if field.parity == COS else np.arange(1, n + 1)
+    wz = np.full(n, 2.0)
+    if field.parity == COS:
+        wz[0] = 1.0
+    power = power * wh[..., None] * wz
+    mz2 = (np.pi * m) ** 2
+    return sum(
+        float(np.sum(power * kx2[..., None] ** a * ky2[..., None] ** b * mz2**c))
+        for a, b, c in product(range(k + 1), repeat=3)
+        if a + b + c <= k
+    )
+
+
+@pytest.mark.parametrize(
+    "shape", [(12, 16, 9), (8, 12, 11)], ids=lambda s: "x".join(map(str, s))
+)
+def test_sobolev_weight_matches_derivative_sum(shape):
+    """The one-weight H^k sum equals the per-multi-index sum for cosine, sine
+    and 2D fields, k = 0..4."""
+    from cpelab import Grid
+    from cpelab.spectral import ddz, random_band_limited_2d
+
+    g = Grid(*shape)
+    rng = np.random.default_rng(11)
+    f = random_band_limited_3d(g, rng, (3, 3, 3))
+    fields = (f, ddz(f), random_band_limited_2d(g, rng, (3, 3)))
+    assert fields[1].parity == SIN
+    for field in fields:
+        for k in range(5):
+            want = _derivative_sum_sq(field, k)
+            np.testing.assert_allclose(sobolev_norm(field, k) ** 2, want, rtol=1e-13)
