@@ -2,17 +2,21 @@
 
 Every key is optional (a minimal file — even an empty one — parses to the
 documented defaults); unknown sections or keys fault loudly, as do
-physically inadmissible values.
+physically inadmissible values. ``_KEYS`` names each key once, with the
+field it sets and its converter; the defaults live only in the dataclasses,
+whose ``__post_init__`` checks every value.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 
 from .errors import ConstraintFault, ParseFault
 from .grid import Grid
+from .initial import FAMILIES
 from .integrators import RunOptions
 from .params import PhysParams
 
@@ -60,6 +64,10 @@ class PicardSpec:
     factor: float = 8.0
     max_levels: int = 4
 
+    def __post_init__(self):
+        if self.max_iter < 1:
+            raise ConstraintFault("max_iter", "must be >= 1")
+
 
 @dataclass(frozen=True)
 class IneqSpec:
@@ -74,6 +82,10 @@ class IneqSpec:
     bands: tuple[int, ...] = (8, 12)
     seed: int = 42
 
+    def __post_init__(self):
+        if self.trials < 1:
+            raise ConstraintFault("trials", "must be >= 1")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -87,100 +99,6 @@ class RunConfig:
     picard: PicardSpec = field(default_factory=PicardSpec)
     ineq: IneqSpec = field(default_factory=IneqSpec)
     seed: int = 0
-
-
-_SCHEMA: dict[str, tuple[str, ...]] = {
-    "grid": ("nx", "ny", "nz"),
-    "params": (
-        "gamma",
-        "mu",
-        "lambda",
-        "kappa",
-        "r",
-        "epsilon",
-        "sigma_floor",
-        "p_floor",
-    ),
-    "initial": ("family", "amplitude", "band", "snapshot"),
-    "run": (
-        "t_final",
-        "dt",
-        "record_every",
-        "cfl",
-        "tol_bc",
-        "fault_floor",
-        "seed",
-    ),
-    "eps_sweep": ("eps", "t"),
-    "perturb": ("deltas", "t", "direction_seed", "direction_band"),
-    "mms": (
-        "case",
-        "dts",
-        "n_temporal",
-        "t_temporal",
-        "ns",
-        "dt_spatial",
-        "t_spatial",
-        "floor",
-    ),
-    "picard": ("t", "tol", "max_iter", "escalate", "factor", "max_levels"),
-    "ineq": ("kinds", "m", "q", "r1", "s1", "r2", "s2", "trials", "bands", "seed"),
-}
-
-
-class _Section:
-    """Typed access to one section with ParseFault-ed conversions."""
-
-    def __init__(self, name: str, proxy):
-        self.name = name
-        self.proxy = proxy
-
-    def _raw(self, key: str):
-        return self.proxy.get(key) if self.proxy is not None else None
-
-    def _convert(self, key: str, conv, default):
-        raw = self._raw(key)
-        if raw is None:
-            return default
-        try:
-            return conv(raw)
-        except (ValueError, TypeError) as exc:
-            raise ParseFault(f"{self.name}.{key}", str(exc)) from exc
-
-    def flt(self, key: str, default):
-        return self._convert(key, _float, default)
-
-    def intg(self, key: str, default):
-        return self._convert(key, _int, default)
-
-    def text(self, key: str, default):
-        raw = self._raw(key)
-        return default if raw is None else raw.strip()
-
-    def boolean(self, key: str, default):
-        def conv(raw: str) -> bool:
-            low = raw.strip().lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-
-        return self._convert(key, conv, default)
-
-    def floats(self, key: str, default):
-        return self._convert(
-            key, lambda raw: tuple(_float(tok) for tok in _tokens(raw)), default
-        )
-
-    def ints(self, key: str, default):
-        return self._convert(
-            key, lambda raw: tuple(_int(tok) for tok in _tokens(raw)), default
-        )
-
-    def texts(self, key: str, default):
-        raw = self._raw(key)
-        return default if raw is None else tuple(_tokens(raw))
 
 
 def _tokens(raw: str) -> list[str]:
@@ -201,21 +119,112 @@ def _float(raw: str) -> float:
 
 
 def _int(raw: str) -> int:
-    val = int(raw, 0)
-    return val
+    return int(raw, 0)
 
 
-# PhysParams fields whose config key has another name
-_CONFIG_KEYS = {"R": "r", "lam": "lambda"}
+def _bool(raw: str) -> bool:
+    low = raw.strip().lower()
+    if low in ("1", "true", "yes", "on"):
+        return True
+    if low in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _in_section(section: str, build, *args, **kwargs):
-    """build(*args, **kwargs), naming the full config key in a ConstraintFault."""
-    try:
-        return build(*args, **kwargs)
-    except ConstraintFault as exc:
-        key = _CONFIG_KEYS.get(exc.key, exc.key)
-        raise ConstraintFault(f"{section}.{key}", exc.reason) from exc
+def _floats(raw: str) -> tuple[float, ...]:
+    return tuple(_float(tok) for tok in _tokens(raw))
+
+
+def _ints(raw: str) -> tuple[int, ...]:
+    return tuple(_int(tok) for tok in _tokens(raw))
+
+
+def _three_ints(raw: str) -> tuple[int, int, int]:
+    vals = _ints(raw)
+    if len(vals) != 3:
+        raise ValueError("need exactly three integers")
+    return vals
+
+
+def _upper_texts(raw: str) -> tuple[str, ...]:
+    return tuple(tok.upper() for tok in _tokens(raw))
+
+
+def _dt(raw: str) -> float | None:
+    return None if raw.strip().lower() == "auto" else _float(raw)
+
+
+def _path(raw: str) -> str | None:
+    return raw.strip() or None  # empty: no snapshot
+
+
+# section -> key -> (field of RunConfig.<section>, converter); the one
+# dotted field, "RunConfig.seed", is a field of RunConfig itself
+_KEYS: dict[str, dict[str, tuple[str, Callable[[str], object]]]] = {
+    "grid": {"nx": ("nx", _int), "ny": ("ny", _int), "nz": ("nz", _int)},
+    "params": {
+        "gamma": ("gamma", _float),
+        "mu": ("mu", _float),
+        "lambda": ("lam", _float),
+        "kappa": ("kappa", _float),
+        "r": ("R", _float),
+        "epsilon": ("epsilon", _float),
+        "sigma_floor": ("sigma_floor", _float),
+        "p_floor": ("p_floor", _float),
+    },
+    "initial": {
+        "family": ("family", str.strip),
+        "amplitude": ("amplitude", _float),
+        "band": ("band", _three_ints),
+        "snapshot": ("snapshot", _path),
+    },
+    "run": {
+        "t_final": ("t_final", _float),
+        "dt": ("dt", _dt),
+        "record_every": ("record_every", _int),
+        "cfl": ("cfl", _float),
+        "tol_bc": ("tol_bc", _float),
+        "fault_floor": ("fault_floor", _float),
+        "seed": ("RunConfig.seed", _int),
+    },
+    "eps_sweep": {"eps": ("eps", _floats), "t": ("T", _float)},
+    "perturb": {
+        "deltas": ("deltas", _floats),
+        "t": ("T", _float),
+        "direction_seed": ("direction_seed", _int),
+        "direction_band": ("direction_band", _three_ints),
+    },
+    "mms": {
+        "case": ("case", str.strip),
+        "dts": ("dts", _floats),
+        "n_temporal": ("n_temporal", _int),
+        "t_temporal": ("T_temporal", _float),
+        "ns": ("ns", _ints),
+        "dt_spatial": ("dt_spatial", _float),
+        "t_spatial": ("T_spatial", _float),
+        "floor": ("floor", _float),
+    },
+    "picard": {
+        "t": ("T", _float),
+        "tol": ("tol", _float),
+        "max_iter": ("max_iter", _int),
+        "escalate": ("escalate", _bool),
+        "factor": ("factor", _float),
+        "max_levels": ("max_levels", _int),
+    },
+    "ineq": {
+        "kinds": ("kinds", _upper_texts),
+        "m": ("m", _int),
+        "q": ("q", _float),
+        "r1": ("r1", _float),
+        "s1": ("s1", _float),
+        "r2": ("r2", _float),
+        "s2": ("s2", _float),
+        "trials": ("trials", _int),
+        "bands": ("bands", _ints),
+        "seed": ("seed", _int),
+    },
+}
 
 
 def load_config(path) -> RunConfig:
@@ -230,136 +239,42 @@ def load_config(path) -> RunConfig:
     except configparser.Error as exc:
         raise ParseFault(str(path), f"malformed config: {exc}") from exc
 
-    for section in parser.sections():
-        low = section.lower()
-        if low not in _SCHEMA:
-            raise ParseFault(section, "unknown section")
-        for key in parser[section]:
-            if key.lower() not in _SCHEMA[low]:
-                raise ParseFault(f"{section}.{key}", "unknown key")
+    spelled: dict[str, str] = {}  # table section -> its first header in the file
+    for name in parser.sections():
+        section = name.lower()
+        if section not in _KEYS:
+            raise ParseFault(name, "unknown section")
+        for key in parser[name]:
+            if key not in _KEYS[section]:
+                raise ParseFault(f"{name}.{key}", "unknown key")
+        spelled.setdefault(section, name)
 
-    def sec(name: str) -> _Section:
-        for cand in parser.sections():
-            if cand.lower() == name:
-                return _Section(name, parser[cand])
-        return _Section(name, None)
-
-    g = sec("grid")
-    grid = _in_section(
-        "grid", Grid, g.intg("nx", 16), g.intg("ny", 16), g.intg("nz", 16)
-    )
-
-    pr = sec("params")
-    params = _in_section(
-        "params",
-        PhysParams,
-        gamma=pr.flt("gamma", 1.4),
-        mu=pr.flt("mu", 1.0),
-        lam=pr.flt("lambda", 0.0),
-        kappa=pr.flt("kappa", 1.0),
-        R=pr.flt("r", 1.0),
-        epsilon=pr.flt("epsilon", 0.0),
-        sigma_floor=pr.flt("sigma_floor", 0.5),
-        p_floor=pr.flt("p_floor", 0.5),
-    )
-
-    ini = sec("initial")
-    band = ini.ints("band", (3, 3, 3))
-    if len(band) != 3:
-        raise ParseFault("initial.band", "need exactly three integers")
-    initial = InitialSpec(
-        family=ini.text("family", "constant"),
-        amplitude=ini.flt("amplitude", 0.1),
-        band=band,
-        snapshot=ini.text("snapshot", None),
-    )
-    from .initial import FAMILIES
-
-    if initial.snapshot is None and initial.family not in FAMILIES:
+    # each part is the default part with the given fields replaced, so its
+    # __post_init__ validates the result; parts are built in table order
+    base = RunConfig()
+    parts: dict[str, object] = {}
+    own: dict[str, object] = {}  # fields of RunConfig itself
+    for section, keys in _KEYS.items():
+        if section not in spelled:
+            continue
+        given = {}
+        for key, raw in parser[spelled[section]].items():
+            field_name, conv = keys[key]
+            try:
+                value = conv(raw)
+            except (ValueError, TypeError) as exc:
+                raise ParseFault(f"{section}.{key}", str(exc)) from exc
+            owner, _, attr = field_name.rpartition(".")
+            (own if owner else given)[attr] = value
+        try:
+            parts[section] = replace(getattr(base, section), **given)
+        except ConstraintFault as exc:
+            names = {f: k for k, (f, _) in keys.items()}
+            key = names.get(exc.key, exc.key)
+            raise ConstraintFault(f"{section}.{key}", exc.reason) from exc
+    cfg = replace(base, **parts, **own)
+    if cfg.initial.snapshot is None and cfg.initial.family not in FAMILIES:
         raise ParseFault(
             "initial.family", f"unknown family; known: {', '.join(FAMILIES)}"
         )
-
-    rn = sec("run")
-    dt_raw = rn.text("dt", "auto")
-    if dt_raw.lower() == "auto":
-        dt = None
-    else:
-        dt = rn.flt("dt", None)
-        if dt is not None and dt <= 0:
-            raise ConstraintFault("run.dt", "dt must be positive or 'auto'")
-    run = _in_section(
-        "run",
-        RunOptions,
-        t_final=rn.flt("t_final", 0.1),
-        dt=dt,
-        record_every=rn.intg("record_every", 1),
-        cfl=rn.flt("cfl", 1.0),
-        tol_bc=rn.flt("tol_bc", 1e-11),
-        fault_floor=rn.flt("fault_floor", 1e-8),
-    )
-
-    es = sec("eps_sweep")
-    eps_sweep = EpsSweepSpec(
-        eps=es.floats("eps", (1e-2, 1e-3, 1e-4)), T=es.flt("t", 0.05)
-    )
-
-    pb = sec("perturb")
-    dband = pb.ints("direction_band", (2, 2, 2))
-    if len(dband) != 3:
-        raise ParseFault("perturb.direction_band", "need exactly three integers")
-    perturb = PerturbSpec(
-        deltas=pb.floats("deltas", (1e-3, 1e-4, 1e-5)),
-        T=pb.flt("t", 0.02),
-        direction_seed=pb.intg("direction_seed", 1),
-        direction_band=dband,
-    )
-
-    mm = sec("mms")
-    mms = MmsSpec(
-        case=mm.text("case", "A-osc"),
-        dts=mm.floats("dts", (4e-4, 2e-4, 1e-4)),
-        n_temporal=mm.intg("n_temporal", 8),
-        T_temporal=mm.flt("t_temporal", 0.05),
-        ns=mm.ints("ns", (16, 24, 32)),
-        dt_spatial=mm.flt("dt_spatial", 1e-4),
-        T_spatial=mm.flt("t_spatial", 0.01),
-        floor=mm.flt("floor", 1e-12),
-    )
-
-    pc = sec("picard")
-    picard = PicardSpec(
-        T=pc.flt("t", 1e-3),
-        tol=pc.flt("tol", 1e-9),
-        max_iter=pc.intg("max_iter", 30),
-        escalate=pc.boolean("escalate", False),
-        factor=pc.flt("factor", 8.0),
-        max_levels=pc.intg("max_levels", 4),
-    )
-
-    iq = sec("ineq")
-    ineq = IneqSpec(
-        kinds=tuple(k.upper() for k in iq.texts("kinds", ("CAL", "COME"))),
-        m=iq.intg("m", 2),
-        q=iq.flt("q", 2.0),
-        r1=iq.flt("r1", math.inf),
-        s1=iq.flt("s1", 2.0),
-        r2=iq.flt("r2", math.inf),
-        s2=iq.flt("s2", 2.0),
-        trials=iq.intg("trials", 200),
-        bands=iq.ints("bands", (8, 12)),
-        seed=iq.intg("seed", 42),
-    )
-
-    return RunConfig(
-        grid=grid,
-        params=params,
-        initial=initial,
-        run=run,
-        eps_sweep=eps_sweep,
-        perturb=perturb,
-        mms=mms,
-        picard=picard,
-        ineq=ineq,
-        seed=rn.intg("seed", 0),
-    )
+    return cfg

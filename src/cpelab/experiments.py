@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .diagnostics import DEFAULT_TOL_BC, compute_diagnostics
-from .errors import NoContraction, UsageFault
+from .errors import ConstraintFault, NoContraction, UsageFault
 from .fields import COS, ScalarField2D, ScalarField3D, State, VectorField3D2C
 from .grid import Grid
 from .integrators import RunOptions, advance, picard_solve, stable_dt
@@ -423,7 +423,7 @@ def continuous_dependence(
 @dataclass(frozen=True)
 class EscalationLevel:
     T: float
-    outcome: str  # "converged" | "no-contraction"
+    outcome: str  # "converged" | "no-contraction" | "over-budget"
     iterations: int
     max_ratio: float
     detail: str = ""
@@ -450,7 +450,9 @@ def picard_escalation(
     tol_bc: float = DEFAULT_TOL_BC,
 ) -> EscalationResult:
     """Grow the horizon geometrically until the contraction mechanism fails
-    (NoContraction) or visibly degrades (some ratio above ratio_bar)."""
+    (NoContraction) or visibly degrades (some ratio above ratio_bar). A
+    horizon whose stage records exceed the Picard memory budget ends the
+    escalation as "over-budget", with nothing found."""
     levels: list[EscalationLevel] = []
     T = T0
     for _ in range(max_levels):
@@ -458,6 +460,17 @@ def picard_escalation(
             result = picard_solve(
                 initial, params, T, tol=tol, max_iter=max_iter, tol_bc=tol_bc
             )
+        except ConstraintFault as exc:
+            levels.append(
+                EscalationLevel(
+                    T=T,
+                    outcome="over-budget",
+                    iterations=0,
+                    max_ratio=float("nan"),
+                    detail=str(exc),
+                )
+            )
+            return EscalationResult(tuple(levels), False, None)
         except NoContraction as exc:
             rep = exc.report
             ratios = rep.ratios if rep is not None else []

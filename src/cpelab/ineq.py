@@ -15,14 +15,10 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 import numpy as np
+from scipy.fft import irfftn, rfftn
 
 from .errors import UsageFault
 from .grid import fft_workers
-
-try:  # scipy's pocketfft exposes a workers argument on numpy arrays
-    from scipy.fft import irfftn, rfftn
-except ImportError:  # pragma: no cover
-    from numpy.fft import irfftn, rfftn
 
 ALLOWED_EXPONENTS = (2.0, 3.0, 4.0, 6.0, math.inf)
 KINDS = ("CAL", "COME", "ALG")

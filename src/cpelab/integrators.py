@@ -55,6 +55,8 @@ class RunOptions:
             raise ConstraintFault("dt", "must be positive")
         if self.record_every < 1:
             raise ConstraintFault("record_every", "must be >= 1")
+        if not (math.isfinite(self.cfl) and self.cfl > 0.0):
+            raise ConstraintFault("cfl", "must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -216,7 +218,6 @@ class PicardReport:
     iterations: int
     dt: float
     n_steps: int
-    per_step_sampling: bool = False
     warnings: list[str] = field(default_factory=list)
 
 
@@ -261,12 +262,15 @@ def picard_solve(
     consecutive contraction ratios reach 1, when a linear sweep goes
     unstable, or when max_iter sweeps do not reach tol — all signatures of
     a horizon T too large for the contraction mechanism. Warnings raised on
-    the way are kept in the report, each message text once.
+    the way are kept in the report, each message text once. Raises
+    ConstraintFault("picard.t") before the first sweep when the stage
+    records of one sweep would exceed MEMORY_BUDGET_BYTES.
     """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
+        ws = ProductWorkspace(initial.grid)
+        diag = compute_diagnostics(initial, params, ws, tol_bc)
         if dt is None:
-            diag = compute_diagnostics(initial, params, tol_bc=tol_bc)
             dt = stable_dt(initial, params, cfl, diag)
         n_steps = max(1, math.ceil(T / dt - 1e-12))
         dt = T / n_steps
@@ -274,7 +278,17 @@ def picard_solve(
         state_bytes = (
             initial.v.data.nbytes + initial.sigma.data.nbytes + initial.p.data.nbytes
         )
-        per_step = 4 * n_steps * state_bytes > MEMORY_BUDGET_BYTES
+        record_bytes = 4 * n_steps * state_bytes
+        if record_bytes > MEMORY_BUDGET_BYTES:
+            raise ConstraintFault(
+                "picard.t",
+                f"{n_steps} steps need {record_bytes:.3g} bytes of stage records, "
+                f"over the {MEMORY_BUDGET_BYTES:.3g}-byte budget",
+            )
+        # the initial state is every record of sweep 0 and records[0][0] of
+        # every later sweep; its sources share the diagnostics above
+        initial_sources = (initial.sigma, *frozen_sources(initial, params, diag, ws))
+        del ws, diag  # free the fine-grid memo before the sweeps
 
         # sweep 0: the constant-in-time trajectory at the initial data
         records: list[list[State]] = [[initial] * 4 for _ in range(n_steps)]
@@ -291,29 +305,19 @@ def picard_solve(
                 iterations=iterations,
                 dt=dt,
                 n_steps=n_steps,
-                per_step_sampling=per_step,
                 warnings=list(dict.fromkeys(str(w.message) for w in caught)),
             )
 
-        source_cache: dict[int, tuple] = {}
+        def sampler(step: int, stage: int, t: float):
+            rec = records[step][stage]
+            if rec is initial:
+                return initial_sources
+            return (rec.sigma, *frozen_sources(rec, params, tol_bc=tol_bc))
+
         for sweep in range(1, max_iter + 1):
-            # keyed by id, so only live records may stay: the initial state
-            # is records[0][0] in every sweep, its sources are kept
-            kept = source_cache.get(id(initial))
-            source_cache = {} if kept is None else {id(initial): kept}
-
-            def sampler(step: int, stage: int, t: float):
-                rec = records[step][0 if per_step else stage]
-                hit = source_cache.get(id(rec))
-                if hit is None:
-                    n1, n2, n3 = frozen_sources(rec, params, tol_bc=tol_bc)
-                    hit = (rec.sigma, n1, n2, n3)
-                    source_cache[id(rec)] = hit
-                return hit
-
             try:
                 new_records, new_states = advance_coupled_linear(
-                    initial, params, dt, n_steps, sampler, record_stages=not per_step
+                    initial, params, dt, n_steps, sampler
                 )
             except CpeError as exc:
                 raise NoContraction(

@@ -24,7 +24,6 @@ def advance_coupled_linear(
     dt: float,
     n_steps: int,
     sampler,
-    record_stages: bool = True,
 ):
     """Advance the three frozen-coefficient problems in lockstep.
 
@@ -32,9 +31,7 @@ def advance_coupled_linear(
     frozen from the previous sweep's trajectory. Returns (records, states)
     where records[n][j] is the stage-j State of step n (what the next sweep
     samples) and states[n] is the step-n State (for trajectory norms),
-    including the initial state at index 0. With ``record_stages`` off,
-    records[n] holds only the step-start state (shared with ``states``),
-    trading stage-exact sampling for a quarter of the memory.
+    including the initial state at index 0.
 
     Growth is measured against both the previous norm and the forced scale
     dt*||k1||, so a legitimate jump out of a near-zero state does not trip
@@ -57,7 +54,7 @@ def advance_coupled_linear(
             raise StabilityFault(
                 f"linear sweep norm grew {before:.3e} -> {after:.3e} in step {n}"
             )
-        records.append(list(stages) if record_stages else [state])
+        records.append(list(stages))
         states.append(new_state)
         state = new_state
     return records, states

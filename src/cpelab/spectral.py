@@ -508,9 +508,6 @@ class ProductWorkspace:
         self._fine[key] = nodal
         return nodal
 
-    fine2 = fine3  # 2D factors take the same path
-
-
     # -- product analysis back to the coarse grid --
 
     def reduce3(self, fine_nodal: np.ndarray, odd: bool) -> ScalarField3D:
@@ -545,9 +542,8 @@ def _is_odd(f) -> bool:
 
 
 def _fine_factor(ws: ProductWorkspace, f):
-    if _kind(f) == _2D:
-        return ws.fine2(f)[..., None]
-    return ws.fine3(f)
+    fine = ws.fine3(f)
+    return fine[..., None] if _kind(f) == _2D else fine
 
 
 def _accumulate(products, shape) -> np.ndarray:
@@ -591,7 +587,7 @@ def dealiased_sum(terms, ws: ProductWorkspace | None = None):
     ws = ws or ProductWorkspace(terms[0][0].grid)
     g = ws.grid
     if all(_kind(f) == _2D and _kind(h) == _2D for f, h, _ in terms):
-        products = [(ws.fine2(f), ws.fine2(h), c) for f, h, c in terms]
+        products = [(ws.fine3(f), ws.fine3(h), c) for f, h, c in terms]
         return ws.reduce2(_accumulate(products, (g.fine_nx, g.fine_ny)))
     odd_flags = {_is_odd(f) != _is_odd(h) for f, h, _ in terms}
     if len(odd_flags) != 1:

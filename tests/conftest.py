@@ -85,9 +85,8 @@ def linear_run():
             return ones, zero.v, zero.sigma, zero.p
 
         n_steps = round(T / dt)
-        _, states = advance_coupled_linear(
-            initial, params, T / n_steps, n_steps, sampler, record_stages=False
-        )
+        dt = T / n_steps
+        _, states = advance_coupled_linear(initial, params, dt, n_steps, sampler)
         return states[-1]
 
     return run

@@ -104,8 +104,26 @@ def test_bad_config_exits_2(tmp_path, capsys):
         ("[params]\ngamma = 1.0\n", "error: params.gamma: "),
         ("[params]\nr = 0\n", "error: params.r: "),
         ("[params]\nlambda = inf\n", "error: params.lambda: must be finite"),
+        ("[run]\ndt = 0\n", "error: run.dt: must be positive"),
+        ("[run]\ncfl = 0\n", "error: run.cfl: must be finite and positive"),
+        ("[run]\ncfl = -1\n", "error: run.cfl: must be finite and positive"),
+        ("[ineq]\ntrials = 0\n", "error: ineq.trials: must be >= 1"),
+        ("[picard]\nmax_iter = 0\n", "error: picard.max_iter: must be >= 1"),
     ],
-    ids=["t_final", "record_every", "nx", "nz", "gamma", "r", "lambda"],
+    ids=[
+        "t_final",
+        "record_every",
+        "nx",
+        "nz",
+        "gamma",
+        "r",
+        "lambda",
+        "dt",
+        "cfl0",
+        "cfl-1",
+        "trials",
+        "max_iter",
+    ],
 )
 def test_constraint_faults_name_the_full_key(tmp_path, capsys, text, message):
     code, _ = launch(tmp_path, text)

@@ -1,13 +1,15 @@
 """Config parsing and the binary snapshot format."""
 
 import math
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cpelab import ConstraintFault, FormatFault, IoFault, ParseFault, make_initial
-from cpelab.config import load_config
+from cpelab.config import _KEYS, RunConfig, load_config
 from cpelab.snapshot import (
     Snapshot,
     describe,
@@ -40,6 +42,110 @@ def test_minimal_config_defaults(tmp_path):
     assert cfg.run.dt is None
     assert cfg.initial.family == "constant"
     assert cfg.seed == 0
+
+
+# every key set away from its default, with the RunConfig value it must give
+EVERY_KEY = {
+    "grid": {"nx": ("12", 12), "ny": ("10", 10), "nz": ("9", 9)},
+    "params": {
+        "gamma": ("1.67", 1.67),
+        "mu": ("0.5", 0.5),
+        "lambda": ("0.25", 0.25),
+        "kappa": ("2", 2.0),
+        "r": ("0.75", 0.75),
+        "epsilon": ("1e-3", 1e-3),
+        "sigma_floor": ("0.25", 0.25),
+        "p_floor": ("0.125", 0.125),
+    },
+    "initial": {
+        "family": ("smooth-random", "smooth-random"),
+        "amplitude": ("0.05", 0.05),
+        "band": ("4, 5, 6", (4, 5, 6)),
+        "snapshot": ("start.cpe", "start.cpe"),
+    },
+    "run": {
+        "t_final": ("0.5", 0.5),
+        "dt": ("1e-4", 1e-4),
+        "record_every": ("3", 3),
+        "cfl": ("0.5", 0.5),
+        "tol_bc": ("1e-9", 1e-9),
+        "fault_floor": ("1e-6", 1e-6),
+        "seed": ("7", 7),
+    },
+    "eps_sweep": {"eps": ("1e-1, 1e-2", (1e-1, 1e-2)), "t": ("0.01", 0.01)},
+    "perturb": {
+        "deltas": ("1e-2 1e-3", (1e-2, 1e-3)),
+        "t": ("0.03", 0.03),
+        "direction_seed": ("5", 5),
+        "direction_band": ("1, 2, 3", (1, 2, 3)),
+    },
+    "mms": {
+        "case": ("B", "B"),
+        "dts": ("1e-3, 5e-4", (1e-3, 5e-4)),
+        "n_temporal": ("10", 10),
+        "t_temporal": ("0.02", 0.02),
+        "ns": ("8, 12", (8, 12)),
+        "dt_spatial": ("2e-4", 2e-4),
+        "t_spatial": ("0.02", 0.02),
+        "floor": ("1e-10", 1e-10),
+    },
+    "picard": {
+        "t": ("2e-3", 2e-3),
+        "tol": ("1e-8", 1e-8),
+        "max_iter": ("12", 12),
+        "escalate": ("yes", True),
+        "factor": ("4", 4.0),
+        "max_levels": ("2", 2),
+    },
+    "ineq": {
+        "kinds": ("alg, cal", ("ALG", "CAL")),
+        "m": ("3", 3),
+        "q": ("4", 4.0),
+        "r1": ("6", 6.0),
+        "s1": ("3", 3.0),
+        "r2": ("4", 4.0),
+        "s2": ("inf", math.inf),
+        "trials": ("5", 5),
+        "bands": ("4", (4,)),
+        "seed": ("0x10", 16),
+    },
+}
+
+
+def test_every_key_reaches_its_field(tmp_path):
+    assert {s: set(keys) for s, keys in EVERY_KEY.items()} == {
+        s: set(keys) for s, keys in _KEYS.items()
+    }
+    text = "".join(
+        f"[{section}]\n" + "".join(f"{k} = {raw}\n" for k, (raw, _) in keys.items())
+        for section, keys in EVERY_KEY.items()
+    )
+    cfg = load_config(write_cfg(tmp_path, text))
+    default = RunConfig()
+    assert cfg.seed == 7
+    for section, keys in EVERY_KEY.items():
+        for key, (_, want) in keys.items():
+            field_name = _KEYS[section][key][0]
+            if field_name == "RunConfig.seed":
+                continue
+            got = getattr(getattr(cfg, section), field_name)
+            assert got == want, f"{section}.{key}"
+            assert got != getattr(getattr(default, section), field_name)
+
+
+def test_readme_config_block_is_the_defaults(tmp_path):
+    """The README's "defaults shown" block loads to RunConfig()."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Config format", 1)[1]
+    block = re.search(r"```ini\n(.*?)```", section, re.S).group(1)
+    assert load_config(write_cfg(tmp_path, block)) == RunConfig()
+
+
+def test_config_empty_list_is_a_parse_fault(tmp_path):
+    path = write_cfg(tmp_path, "[ineq]\nkinds =\n")
+    with pytest.raises(ParseFault) as info:
+        load_config(path)
+    assert info.value.key == "ineq.kinds"
 
 
 def test_config_gamma_constraint(tmp_path):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import cpelab.diagnostics
+import cpelab.integrators
 from cpelab import (
     ConstraintFault,
     Grid,
@@ -22,6 +23,7 @@ from cpelab import (
     picard_solve,
     stable_dt,
 )
+from cpelab.experiments import picard_escalation
 from cpelab.fields import constant_state
 from cpelab.norms import difference_norm
 
@@ -238,6 +240,20 @@ def test_picard_matches_rk4(shape, weak_params):
     rk = advance(st, weak_params, RunOptions(t_final=1e-3, dt=out.report.dt))
     assert rk.fault is None
     assert difference_norm(out.state, rk.state) <= 1e-12
+
+
+def test_picard_over_memory_budget_faults(grid12, params, monkeypatch):
+    """Stage records past the budget fault before the first sweep, naming
+    the config key; the escalation records that horizon and finds nothing."""
+    st = constant_state(grid12)
+    monkeypatch.setattr(cpelab.integrators, "MEMORY_BUDGET_BYTES", 1e5)
+    with pytest.raises(ConstraintFault) as info:
+        picard_solve(st, params, T=1e-3)
+    assert info.value.key == "picard.t"
+    assert "steps need" in info.value.reason
+    esc = picard_escalation(st, params, 1e-3)
+    assert (esc.found, esc.found_T) == (False, None)
+    assert [lv.outcome for lv in esc.levels] == ["over-budget"]
 
 
 def test_picard_iteration_budget(grid16, weak_params):

@@ -48,30 +48,6 @@ def test_constants_are_steady(grid16, params, linear_run):
     np.testing.assert_allclose(out.p.data, 2.0, atol=1e-13)
 
 
-def test_coupled_linear_record_stages_equivalent(grid16, weak_params):
-    """Dropping stage records must not change the computed trajectory."""
-    initial = make_initial("smooth-random", grid16, weak_params, amplitude=0.1, seed=3)
-    frozen = frozen_sources(initial, weak_params)
-
-    def sampler(step, stage, t):
-        return (initial.sigma, *frozen)
-
-    recs_a, states_a = advance_coupled_linear(
-        initial, weak_params, 1e-3, 4, sampler, record_stages=True
-    )
-    recs_b, states_b = advance_coupled_linear(
-        initial, weak_params, 1e-3, 4, sampler, record_stages=False
-    )
-    assert len(states_a) == len(states_b) == 5
-    assert np.array_equal(states_a[-1].v.data, states_b[-1].v.data)
-    assert np.array_equal(states_a[-1].sigma.data, states_b[-1].sigma.data)
-    assert np.array_equal(states_a[-1].p.data, states_b[-1].p.data)
-    assert len(recs_a[0]) == 4
-    assert len(recs_b[0]) == 1
-    # the step-start record is the shared state object, not a copy
-    assert recs_b[1][0] is states_b[1]
-
-
 def test_coupled_linear_keeps_boundaries_clean(grid16, weak_params):
     initial = make_initial("smooth-random", grid16, weak_params, amplitude=0.2, seed=9)
     frozen = frozen_sources(initial, weak_params)

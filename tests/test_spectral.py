@@ -285,7 +285,7 @@ def test_lazy_factor_fine_samples_match_materialized(shape):
     for lazy in lazy2:
         nodal = ws.field(lazy)
         assert isinstance(nodal, ScalarField2D)
-        assert_close(ws.fine2(lazy), ProductWorkspace(grid).fine2(nodal))
+        assert_close(ws.fine3(lazy), ProductWorkspace(grid).fine3(nodal))
     # a zlin factor is sampled as the sine series through its interior nodes
     zlin = ws.field(F.cumint())
     interior = zlin.data.copy()
@@ -298,10 +298,7 @@ def test_lazy_factor_fine_samples_match_materialized(shape):
         dealiased_sum([(f, F.dx())], ws),
         dealiased_sum([(P, P.dy())], ws),
     ):
-        fine = ws.fine2 if isinstance(prod, ScalarField2D) else ws.fine3
-        fresh = ProductWorkspace(grid)
-        fresh_fine = fresh.fine2 if isinstance(prod, ScalarField2D) else fresh.fine3
-        assert_close(fine(prod), fresh_fine(prod))
+        assert_close(ws.fine3(prod), ProductWorkspace(grid).fine3(prod))
 
 
 def test_factor_rejects_mixed_kinds(grid12):
