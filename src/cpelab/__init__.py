@@ -49,14 +49,7 @@ from .integrators import (
 )
 from .norms import EnergyReport, difference_norm, energy_report, sobolev_norm
 from .params import PhysParams
-from .tendencies import (
-    StateTendency,
-    frozen_sources,
-    phi1,
-    phi2,
-    phi3,
-    regularized_tendency,
-)
+from .tendencies import StateTendency, frozen_sources, regularized_tendency
 
 __version__ = "0.1.0"
 
@@ -102,9 +95,6 @@ __all__ = [
     "make_initial",
     "perturbation_direction",
     "perturbed",
-    "phi1",
-    "phi2",
-    "phi3",
     "phi_field",
     "picard_solve",
     "reconstruct_thermo",

@@ -54,6 +54,12 @@ class MmsSpec:
     T_spatial: float = 0.01
     floor: float = 1e-12
 
+    def __post_init__(self):
+        # each size n makes a Grid(n, n, n)
+        for key, sizes in (("n_temporal", (self.n_temporal,)), ("ns", self.ns)):
+            if any(n < 8 or n % 2 for n in sizes):
+                raise ConstraintFault(key, "grid sizes must be even and >= 8")
+
 
 @dataclass(frozen=True)
 class PicardSpec:
@@ -67,6 +73,10 @@ class PicardSpec:
     def __post_init__(self):
         if self.max_iter < 1:
             raise ConstraintFault("max_iter", "must be >= 1")
+        if not (math.isfinite(self.factor) and self.factor > 1.0):
+            raise ConstraintFault("factor", "must be finite and > 1")
+        if self.max_levels < 1:
+            raise ConstraintFault("max_levels", "must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -185,14 +185,15 @@ def boundary_defects(diag: DiagnosticFields) -> tuple[float, float]:
     return w_defect, phi_defect
 
 
-def continuity_residual_field(
+def continuity_residual(
     state,
     sigma_tendency: ScalarField3D,
     params: PhysParams,
     diag: DiagnosticFields | None = None,
     ws: ProductWorkspace | None = None,
-) -> ScalarField3D:
-    """Residual of d_t rho + div_h(rho v) + dz(rho w) with d_t rho = -dsigma/sigma^2."""
+) -> float:
+    """Max abs residual of d_t rho + div_h(rho v) + dz(rho w), with
+    d_t rho = -dsigma/sigma^2 from the given sigma tendency."""
     ws = ws or ProductWorkspace(state.grid)
     if diag is None:
         diag = compute_diagnostics(state, params, ws)
@@ -204,17 +205,4 @@ def continuity_residual_field(
     flux = [factor(dealiased_sum([(rho, f)], ws)) for f in (v1, v2, diag.w)]
     flux_h = ws.field(flux[0].dx() + flux[1].dy())
     flux_z = ws.field(flux[2].dz())
-    return ScalarField3D(
-        state.grid, drho_dt + flux_h.data + flux_z.data, COS
-    )
-
-
-def continuity_residual(
-    state,
-    sigma_tendency: ScalarField3D,
-    params: PhysParams,
-    diag: DiagnosticFields | None = None,
-    ws: ProductWorkspace | None = None,
-) -> float:
-    res = continuity_residual_field(state, sigma_tendency, params, diag, ws)
-    return float(np.abs(res.data).max())
+    return float(np.abs(drho_dt + flux_h.data + flux_z.data).max())

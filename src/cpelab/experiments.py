@@ -127,11 +127,16 @@ class MmsResult:
     dt: float
     n_steps: int
     T: float
-    err_v: float
-    err_sigma: float
-    err_p: float
-    err: float
+    err: float  # max abs gap of v, sigma and p to the exact state at T
     state: State
+
+
+def _state_gap(a: State, b: State) -> float:
+    return max(
+        float(np.abs(a.v.data - b.v.data).max()),
+        float(np.abs(a.sigma.data - b.sigma.data).max()),
+        float(np.abs(a.p.data - b.p.data).max()),
+    )
 
 
 def mms_run(case: str, n: int, dt: float, T: float, params: PhysParams) -> MmsResult:
@@ -145,29 +150,14 @@ def mms_run(case: str, n: int, dt: float, T: float, params: PhysParams) -> MmsRe
     )
     if res.fault is not None:
         raise res.fault
-    ref = exact(T)
-    err_v = float(np.abs(res.state.v.data - ref.v.data).max())
-    err_s = float(np.abs(res.state.sigma.data - ref.sigma.data).max())
-    err_p = float(np.abs(res.state.p.data - ref.p.data).max())
     return MmsResult(
         case=case,
         n=n,
         dt=res.dt,
         n_steps=res.n_steps,
         T=T,
-        err_v=err_v,
-        err_sigma=err_s,
-        err_p=err_p,
-        err=max(err_v, err_s, err_p),
+        err=_state_gap(res.state, exact(T)),
         state=res.state,
-    )
-
-
-def _state_gap(a: State, b: State) -> float:
-    return max(
-        float(np.abs(a.v.data - b.v.data).max()),
-        float(np.abs(a.sigma.data - b.sigma.data).max()),
-        float(np.abs(a.p.data - b.p.data).max()),
     )
 
 
@@ -303,7 +293,6 @@ def epsilon_sweep(
     params: PhysParams,
     T: float,
     eps_list: tuple[float, ...],
-    dt: float | None = None,
     tol_bc: float = DEFAULT_TOL_BC,
 ) -> EpsSweepResult:
     """Distance at time T to the eps=0 reference, one run per eps.
@@ -314,9 +303,7 @@ def epsilon_sweep(
     warnings of the step bound and of the runs are kept in the result.
     """
     eps_sorted = tuple(sorted(eps_list, reverse=True))
-    seen: list[str] = []
-    if dt is None:
-        dt, seen = _initial_dt(initial, replace(params, epsilon=eps_sorted[0]), tol_bc)
+    dt, seen = _initial_dt(initial, replace(params, epsilon=eps_sorted[0]), tol_bc)
     opts = RunOptions(t_final=T, dt=dt, record_every=10**9, tol_bc=tol_bc)
 
     def run(eps: float) -> State:
@@ -360,18 +347,16 @@ def continuous_dependence(
     deltas: tuple[float, ...],
     params: PhysParams,
     T: float,
-    dt: float | None = None,
     tol_bc: float = DEFAULT_TOL_BC,
 ) -> DependenceResult:
-    """Response and dissipation of the gap to the base run, per delta.
+    """Response and dissipation of the gap to the base run, per delta, with
+    the step ``stable_dt`` of the initial state.
 
     Every diagnostics evaluation uses ``tol_bc``; the warnings of the step
     bound and of the runs are kept in the result."""
     from .initial import perturbed
 
-    seen: list[str] = []
-    if dt is None:
-        dt, seen = _initial_dt(initial, params, tol_bc)
+    dt, seen = _initial_dt(initial, params, tol_bc)
     opts = RunOptions(
         t_final=T, dt=dt, record_every=10**9, tol_bc=tol_bc, keep_states=True
     )
@@ -420,6 +405,10 @@ def continuous_dependence(
 # ---------------------------------------------------------------------------
 
 
+# a converged level with a meaningful ratio above this has visibly degraded
+RATIO_BAR = 0.5
+
+
 @dataclass(frozen=True)
 class EscalationLevel:
     T: float
@@ -446,11 +435,10 @@ def picard_escalation(
     max_levels: int = 4,
     tol: float = 1e-9,
     max_iter: int = 30,
-    ratio_bar: float = 0.5,
     tol_bc: float = DEFAULT_TOL_BC,
 ) -> EscalationResult:
     """Grow the horizon geometrically until the contraction mechanism fails
-    (NoContraction) or visibly degrades (some ratio above ratio_bar). A
+    (NoContraction) or visibly degrades (some ratio above RATIO_BAR). A
     horizon whose stage records exceed the Picard memory budget ends the
     escalation as "over-budget", with nothing found."""
     levels: list[EscalationLevel] = []
@@ -502,7 +490,7 @@ def picard_escalation(
                 warnings=tuple(rep.warnings),
             )
         )
-        if max_ratio > ratio_bar:
+        if max_ratio > RATIO_BAR:
             return EscalationResult(tuple(levels), True, T)
         T *= factor
     return EscalationResult(tuple(levels), False, None)

@@ -8,13 +8,13 @@ The parity tag records how a 3D field extends across z = 0:
 * ``"zlin"`` — a0(x, y) * z plus a sine series (cumulative z-integrals).
   Sines vanish at z = 1, so the slope a0 is recoverable from the nodal data.
 
-Operations that transform in z dispatch on the tag; mixing "cos" with the
-odd tags in arithmetic is a usage error (no equation term ever needs it).
+Operations that transform in z dispatch on the tag; scalar ``+``, the one
+field operator, rejects "cos" plus an odd tag (no equation term needs it).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -76,20 +76,6 @@ class ScalarField3D:
             self.grid, self.data + other.data, _add_parity(self.parity, other.parity)
         )
 
-    def __sub__(self, other: "ScalarField3D") -> "ScalarField3D":
-        _same_grid(self, other)
-        return ScalarField3D(
-            self.grid, self.data - other.data, _add_parity(self.parity, other.parity)
-        )
-
-    def __mul__(self, c: float) -> "ScalarField3D":
-        return replace(self, data=self.data * float(c))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "ScalarField3D":
-        return replace(self, data=-self.data)
-
 
 @dataclass(frozen=True)
 class VectorField3D2C:
@@ -108,26 +94,6 @@ class VectorField3D2C:
 
     def component(self, i: int) -> ScalarField3D:
         return ScalarField3D(self.grid, self.data[i], self.parity)
-
-    def __add__(self, other: "VectorField3D2C") -> "VectorField3D2C":
-        _same_grid(self, other)
-        return VectorField3D2C(
-            self.grid, self.data + other.data, _add_parity(self.parity, other.parity)
-        )
-
-    def __sub__(self, other: "VectorField3D2C") -> "VectorField3D2C":
-        _same_grid(self, other)
-        return VectorField3D2C(
-            self.grid, self.data - other.data, _add_parity(self.parity, other.parity)
-        )
-
-    def __mul__(self, c: float) -> "VectorField3D2C":
-        return replace(self, data=self.data * float(c))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "VectorField3D2C":
-        return replace(self, data=-self.data)
 
 
 @dataclass(frozen=True)
@@ -150,18 +116,6 @@ class ScalarField2D:
     def __add__(self, other: "ScalarField2D") -> "ScalarField2D":
         _same_grid(self, other)
         return ScalarField2D(self.grid, self.data + other.data)
-
-    def __sub__(self, other: "ScalarField2D") -> "ScalarField2D":
-        _same_grid(self, other)
-        return ScalarField2D(self.grid, self.data - other.data)
-
-    def __mul__(self, c: float) -> "ScalarField2D":
-        return ScalarField2D(self.grid, self.data * float(c))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "ScalarField2D":
-        return ScalarField2D(self.grid, -self.data)
 
 
 def _same_grid(a, b) -> None:

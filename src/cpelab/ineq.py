@@ -203,9 +203,6 @@ class TrialStats:
     mean_ratio: float
     ratios: tuple[float, ...]
 
-    def histogram(self, bins: int = 10):
-        return np.histogram(self.ratios, bins=bins)
-
 
 def run_trials(
     kind: str,
@@ -249,14 +246,13 @@ def run_trials(
     )
 
 
-def constant_commutator_sample(
-    g_band: int = 6, seed: int = 0, m: int = 2, constant: float = 2.0
-) -> InequalitySample:
-    """Commutator with a constant f; the discrete lhs vanishes identically
-    (scaling by a power of two commutes with every FFT butterfly), so the
-    returned ratio is exactly zero."""
-    lab = TorusLab(lab_size(g_band))
+def constant_commutator_sample(seed: int = 0) -> InequalitySample:
+    """The m = 2 commutator with f = 2 and a seeded band-6 g, at exponents
+    (2, inf, 2, inf, 2); the discrete lhs vanishes identically (scaling by
+    a power of two commutes with every FFT butterfly), so the returned
+    ratio is exactly zero."""
+    lab = TorusLab(lab_size(6))
     rng = np.random.default_rng(seed)
-    g = lab.random_field(rng, g_band)
-    f = LabField(lab, np.full((lab.n,) * 3, constant))
-    return come_sample(f, g, m, 2.0, math.inf, 2.0, math.inf, 2.0)
+    g = lab.random_field(rng, 6)
+    f = LabField(lab, np.full((lab.n,) * 3, 2.0))
+    return come_sample(f, g, 2, 2.0, math.inf, 2.0, math.inf, 2.0)

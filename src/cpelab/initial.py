@@ -12,7 +12,14 @@ import math
 import numpy as np
 
 from .errors import UsageFault
-from .fields import COS, ScalarField2D, ScalarField3D, State, VectorField3D2C
+from .fields import (
+    COS,
+    ScalarField2D,
+    ScalarField3D,
+    State,
+    VectorField3D2C,
+    constant_state,
+)
 from .grid import Grid
 from .norms import sobolev_norm
 from .params import PhysParams
@@ -31,12 +38,7 @@ def make_initial(
     seed: int = 0,
 ) -> State:
     if family == "constant":
-        v = np.zeros((2,) + grid.shape3d)
-        return State(
-            VectorField3D2C(grid, v, COS),
-            ScalarField3D(grid, np.ones(grid.shape3d), COS),
-            ScalarField2D(grid, np.ones(grid.shape2d)),
-        )
+        return constant_state(grid)
 
     if family == "example-A":
         _, _, Z = grid.mesh3d()

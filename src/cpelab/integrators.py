@@ -28,7 +28,7 @@ from .fields import ScalarField2D, ScalarField3D, State, VectorField3D2C
 from .norms import EnergyReport, energy_report, nodal_l2, sobolev_norm
 from .params import PhysParams
 from .parabolic import advance_coupled_linear
-from .spectral import ProductWorkspace, ddz
+from .spectral import ProductWorkspace
 from .tendencies import (
     StateTendency,
     check_positivity,
@@ -128,8 +128,6 @@ def advance(
     """
     reports: list[EnergyReport] = []
     states: list[State] | None = [state] if opts.keep_states else None
-    diss_v = 0.0
-    diss_dz = 0.0
     fault: CpeError | None = None
 
     # a helper, so that no local of advance holds a workspace past stage 0
@@ -150,13 +148,7 @@ def advance(
         w_def, phi_def = boundary_defects(diag)
         reports.append(
             energy_report(
-                s,
-                params,
-                diss_v,
-                diss_dz,
-                mass=total_mass(s.sigma),
-                w_defect=w_def,
-                phi_defect=phi_def,
+                s, params, mass=total_mass(s.sigma), w_defect=w_def, phi_defect=phi_def
             )
         )
 
@@ -170,8 +162,6 @@ def advance(
         record(state, start[1])
         for n in range(n_steps):
             try:
-                diss_v += dt * sobolev_norm(state.v, 4) ** 2
-                diss_dz += dt * sobolev_norm(ddz(state.sigma), 2) ** 2
                 _, _, new_state = rk4_step(state, dt, rhs)
                 before = nodal_l2(state.v, state.sigma, state.p)
                 after = nodal_l2(new_state.v, new_state.sigma, new_state.p)
@@ -252,11 +242,11 @@ def picard_solve(
     T: float,
     tol: float = 1e-9,
     max_iter: int = 30,
-    dt: float | None = None,
-    cfl: float = 1.0,
     tol_bc: float = DEFAULT_TOL_BC,
 ) -> PicardResult:
-    """Iterate the frozen-coefficient solution map to its fixed point.
+    """Iterate the frozen-coefficient solution map to its fixed point, with
+    steps of ``stable_dt`` (at cfl 1) of the initial state shortened to
+    divide T.
 
     Raises NoContraction (with the partial report attached) when three
     consecutive contraction ratios reach 1, when a linear sweep goes
@@ -270,8 +260,7 @@ def picard_solve(
         warnings.simplefilter("always")
         ws = ProductWorkspace(initial.grid)
         diag = compute_diagnostics(initial, params, ws, tol_bc)
-        if dt is None:
-            dt = stable_dt(initial, params, cfl, diag)
+        dt = stable_dt(initial, params, diag=diag)
         n_steps = max(1, math.ceil(T / dt - 1e-12))
         dt = T / n_steps
 

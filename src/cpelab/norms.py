@@ -79,17 +79,12 @@ def sobolev_norm(field, k: int) -> float:
 
 @dataclass(frozen=True)
 class EnergyReport:
-    """One row of the energy monitor.
-
-    energy = ||v||_{H3}^2 + ||sigma||_{H2}^2 + ||p||_{H3}^2; the two diss_*
-    entries are running time integrals (left-rectangle) of ||v||_{H4}^2 and
-    ||dz sigma||_{H2}^2 and are nondecreasing along a trajectory.
-    """
+    """One row of the energy monitor, one ``run.csv`` row: the time, the
+    energy ||v||_{H3}^2 + ||sigma||_{H2}^2 + ||p||_{H3}^2, the minima of
+    sigma and p, the mass and the two wall defects."""
 
     t: float
     energy: float
-    diss_v: float
-    diss_dzsigma: float
     min_sigma: float
     min_p: float
     mass: float
@@ -100,8 +95,6 @@ class EnergyReport:
 def energy_report(
     state,
     params,
-    diss_v: float,
-    diss_dzsigma: float,
     *,
     mass: float,
     w_defect: float,
@@ -115,8 +108,6 @@ def energy_report(
     return EnergyReport(
         t=state.t,
         energy=e,
-        diss_v=diss_v,
-        diss_dzsigma=diss_dzsigma,
         min_sigma=float(state.sigma.data.min()),
         min_p=float(state.p.data.min()),
         mass=mass,
@@ -130,15 +121,6 @@ def nodal_l2(*fields) -> float:
     step growth detectors compare. np.linalg.norm would go through BLAS and
     wake its thread pool inside the transform-bound stepping loops."""
     return sum(math.sqrt(float(np.square(f.data).sum())) for f in fields)
-
-
-def log_energy_slope(reports) -> float:
-    """Least-squares slope of log E(t); finite growth rate along a trajectory."""
-    ts = np.array([r.t for r in reports])
-    es = np.array([r.energy for r in reports])
-    if len(ts) < 2 or np.any(es <= 0):
-        return 0.0
-    return float(np.polyfit(ts, np.log(es), 1)[0])
 
 
 def difference_norm(a, b) -> float:

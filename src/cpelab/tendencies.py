@@ -15,8 +15,10 @@ time.
 
 * ``regularized_tendency``: sources + linear part at sigma_c = sigma;
 * ``frozen_sources``: the sources alone, N_1/N_2/N_3 of the linear sweeps;
-* ``frozen_tendency``: linear part at a frozen sigma_k + frozen sources;
-* ``phi1``/``phi2``/``phi3``: the Phi lists alone.
+* ``frozen_tendency``: linear part at a frozen sigma_k + frozen sources.
+
+The Phi lists have no sum of their own: N_1 is Phi_1, and N_2, N_3 are
+Phi_2, Phi_3 with the transport terms.
 
 ``rk4_step`` is the classical RK4 step both integration paths take, so the
 Picard fixed point reproduces the nonlinear RK4 trajectory stage for stage.
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import DEFAULT_TOL_BC, DiagnosticFields, compute_diagnostics, heating
+from .diagnostics import DEFAULT_TOL_BC, DiagnosticFields, compute_diagnostics
 from .errors import (
     PositivityMarginWarning,
     PressurePositivityLost,
@@ -37,7 +39,7 @@ from .errors import (
 )
 from .fields import COS, ScalarField2D, ScalarField3D, State, VectorField3D2C
 from .params import PhysParams
-from .spectral import Factor, ProductWorkspace, dealiased_sum, divergence, factor
+from .spectral import Factor, ProductWorkspace, dealiased_sum, factor
 
 DEFAULT_FAULT_FLOOR = 1e-8
 
@@ -185,52 +187,6 @@ def _assemble(grid, parts, ws: ProductWorkspace) -> StateTendency:
 # ---------------------------------------------------------------------------
 # the sums
 # ---------------------------------------------------------------------------
-
-
-def phi1(
-    v: VectorField3D2C,
-    sigma: ScalarField3D,
-    p: ScalarField2D,
-    params: PhysParams,
-    diag: DiagnosticFields | None = None,
-    ws: ProductWorkspace | None = None,
-) -> VectorField3D2C:
-    """Phi_1 = -(v . grad_h) v - w dz v - sigma grad_h p."""
-    ws = ws or ProductWorkspace(v.grid)
-    if diag is None:
-        diag = compute_diagnostics(State(v, sigma, p), params, ws)
-    v1, v2 = factor(v.component(0)), factor(v.component(1))
-    grad_p = (factor(p).dx(), factor(p).dy())
-    terms = _phi1_terms(v1, v2, sigma, diag.w, grad_p)
-    return _vector(v.grid, [_reduce(t, ws) for t in terms])
-
-
-def phi2(
-    v: VectorField3D2C,
-    sigma: ScalarField3D,
-    p: ScalarField2D,
-    params: PhysParams,
-    diag: DiagnosticFields | None = None,
-    ws: ProductWorkspace | None = None,
-) -> ScalarField3D:
-    """Phi_2 = -w dz sigma + sigma (div_h v - phi)."""
-    ws = ws or ProductWorkspace(v.grid)
-    if diag is None:
-        diag = compute_diagnostics(State(v, sigma, p), params, ws)
-    return _reduce(_phi2_terms(factor(sigma), divergence(v), diag), ws)
-
-
-def phi3(
-    v: VectorField3D2C,
-    p: ScalarField2D,
-    params: PhysParams,
-    diag: DiagnosticFields | None = None,
-    ws: ProductWorkspace | None = None,
-) -> ScalarField2D:
-    """Phi_3 = (gamma-1) Qbar - gamma p div_h vbar."""
-    ws = ws or ProductWorkspace(v.grid)
-    Q = heating(v, params, ws) if diag is None else diag.Q
-    return _reduce(_phi3_terms(p, divergence(v), Q, params), ws)
 
 
 def regularized_tendency(

@@ -34,7 +34,7 @@ from cpelab.ineq import constant_commutator_sample, run_trials
 from cpelab.initial import perturbation_direction
 from cpelab.norms import difference_norm
 from cpelab.spectral import ProductWorkspace, vertical_average
-from cpelab.tendencies import phi3, regularized_tendency
+from cpelab.tendencies import frozen_sources, regularized_tendency
 
 
 @pytest.fixture(scope="module")
@@ -101,7 +101,8 @@ def test_c03_cosine_column_closed_form_diagnostics(grid32, params):
     scale_w = sup(w_exact)
     err_phi = sup(diag.phi.data - phi_exact) / scale_phi
     err_w = sup(diag.w.data - w_exact) / scale_w
-    p3 = phi3(st.v, st.p, params, diag)
+    # N_3 is Phi_3 here: p is constant, so vbar . grad_h p vanishes exactly
+    _, _, p3 = frozen_sources(st, params, diag)
     err_p3 = sup(p3.data - 0.2 * np.pi**2) / (0.2 * np.pi**2)
     print(f"rel errors: phi {err_phi:.3e}, w {err_w:.3e}, Phi3 {err_p3:.3e}")
     assert err_phi <= 1e-9
@@ -171,7 +172,7 @@ def test_c08_linear_response_and_quadratic_dissipation(grid16, params):
     st = make_initial("smooth-random", grid16, params, amplitude=0.1, seed=3)
     direction = perturbation_direction(grid16, seed=4)
     dep = continuous_dependence(st, direction, (1e-3, 1e-4, 1e-5), params, 0.02)
-    responses = [r.response / r.delta for r in dep.rows]
+    responses = [r.response for r in dep.rows]
     print(
         f"normalized responses {[f'{r:.4f}' for r in responses]} "
         f"(variation {dep.max_response_variation:.3f}x), "

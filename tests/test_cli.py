@@ -109,6 +109,11 @@ def test_bad_config_exits_2(tmp_path, capsys):
         ("[run]\ncfl = -1\n", "error: run.cfl: must be finite and positive"),
         ("[ineq]\ntrials = 0\n", "error: ineq.trials: must be >= 1"),
         ("[picard]\nmax_iter = 0\n", "error: picard.max_iter: must be >= 1"),
+        ("[picard]\nfactor = 0\n", "error: picard.factor: must be finite and > 1"),
+        ("[picard]\nfactor = 1\n", "error: picard.factor: must be finite and > 1"),
+        ("[picard]\nmax_levels = 0\n", "error: picard.max_levels: must be >= 1"),
+        ("[mms]\nn_temporal = 0\n", "error: mms.n_temporal: "),
+        ("[mms]\nns = 7, 8\n", "error: mms.ns: "),
     ],
     ids=[
         "t_final",
@@ -123,6 +128,11 @@ def test_bad_config_exits_2(tmp_path, capsys):
         "cfl-1",
         "trials",
         "max_iter",
+        "factor0",
+        "factor1",
+        "max_levels",
+        "n_temporal",
+        "ns",
     ],
 )
 def test_constraint_faults_name_the_full_key(tmp_path, capsys, text, message):

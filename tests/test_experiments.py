@@ -16,6 +16,7 @@ from cpelab import (
 from cpelab.experiments import (
     continuous_dependence,
     epsilon_sweep,
+    mms_forcing,
     mms_run,
     mms_spatial,
     mms_temporal,
@@ -39,7 +40,14 @@ def test_mms_a_osc_small_error(params):
     out = mms_run("A-osc", 8, 2e-4, 0.004, params)
     assert 0.0 < out.err < 1e-2
     assert out.n_steps == 20
-    assert out.err == max(out.err_v, out.err_sigma, out.err_p)
+    _, exact = mms_forcing("A-osc", Grid(8, 8, 8), params)
+    ref = exact(0.004)
+    gaps = [
+        np.abs(out.state.v.data - ref.v.data).max(),
+        np.abs(out.state.sigma.data - ref.sigma.data).max(),
+        np.abs(out.state.p.data - ref.p.data).max(),
+    ]
+    assert out.err == max(gaps)
 
 
 def test_mms_temporal_fourth_order():

@@ -125,10 +125,3 @@ def test_run_trials_deterministic():
 def test_run_trials_unknown_kind():
     with pytest.raises(UsageFault):
         run_trials("SOB", 2, (2.0, math.inf, 2.0, math.inf, 2.0), 3, 6, 0)
-
-
-def test_histogram_shape():
-    stats = run_trials("COME", 2, (2.0, math.inf, 2.0, math.inf, 2.0), 8, 6, 5)
-    counts, edges = stats.histogram(bins=4)
-    assert len(edges) == 5
-    assert counts.sum() == 8

@@ -17,7 +17,7 @@ from cpelab import (
     sobolev_norm,
 )
 from cpelab.fields import constant_state
-from cpelab.norms import EnergyReport, difference_norm, log_energy_slope
+from cpelab.norms import difference_norm
 from cpelab.spectral import random_band_limited_3d
 
 COSX_H1_SQ = 39.478417604357434  # (2 pi)^2,  tools/oracles.py
@@ -55,7 +55,7 @@ def test_constant_norm_is_volume(grid16):
 
 def test_constant_state_energy(grid16, params):
     st_ = constant_state(grid16)
-    rep = energy_report(st_, params, 0.0, 0.0, mass=0.0, w_defect=0.0, phi_defect=0.0)
+    rep = energy_report(st_, params, mass=0.0, w_defect=0.0, phi_defect=0.0)
     np.testing.assert_allclose(rep.energy, E_CONST, rtol=1e-13)
 
 
@@ -90,25 +90,6 @@ def test_difference_norm_linear_in_delta(grid16, params):
     np.testing.assert_allclose(d2 / d1, 2.0, rtol=1e-10)
     # the direction is normalized, so the response equals delta
     np.testing.assert_allclose(d1, 1e-3, rtol=1e-10)
-
-
-def test_log_energy_slope():
-    ts = np.linspace(0.0, 1.0, 11)
-    reports = [
-        EnergyReport(
-            t=float(t),
-            energy=5.0 * np.exp(-1.75 * t),
-            diss_v=0.0,
-            diss_dzsigma=0.0,
-            min_sigma=1.0,
-            min_p=1.0,
-            mass=1.0,
-            w_defect=0.0,
-            phi_defect=0.0,
-        )
-        for t in ts
-    ]
-    np.testing.assert_allclose(log_energy_slope(reports), -1.75, rtol=1e-10)
 
 
 def _derivative_sum_sq(field, k):

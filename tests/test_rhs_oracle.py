@@ -84,18 +84,11 @@ def _nodal(ws, terms, plain):
     return out
 
 
-def _oracle_rhs(state, params):
-    """(dv, dsigma, dp) nodal arrays of the full tendency, unmerged."""
-    ws = ProductWorkspace(state.grid)
-    diag = _oracle_diagnostics(state, params, ws)
-    gamma = params.gamma
-    v1, v2 = factor(state.v.component(0)), factor(state.v.component(1))
-    divv = v1.dx() + v2.dy()
+def _oracle_sources(state, params, diag, v1, v2, divv):
+    """Term lists (dv per component, dsigma, dp) and the plain dp terms of
+    the sources N_1, N_2, N_3, unmerged: the RHS without linear or eps terms."""
     sigma, p = factor(state.sigma), factor(state.p)
     gp = (p.dx(), p.dy())
-    dv_lin, dsigma_lin, eps_sigma, eps_p = _oracle_linear(
-        state, params, state.sigma, v1, v2, divv
-    )
     dv = [
         [
             (v1, vi.dx(), -1.0),
@@ -103,24 +96,40 @@ def _oracle_rhs(state, params):
             (diag.w, vi.dz(), -1.0),
             (sigma, gpi, -1.0),
         ]
-        + lin
-        for vi, gpi, lin in zip((v1, v2), gp, dv_lin)
+        for vi, gpi in zip((v1, v2), gp)
     ]
     dsigma = [
         (v1, sigma.dx(), -1.0),
         (v2, sigma.dy(), -1.0),
         (diag.w, sigma.dz(), -1.0),
         (sigma, divv - diag.phi, 1.0),
-    ] + dsigma_lin
+    ]
     dp = [
         (v1.mean(), gp[0], -1.0),
         (v2.mean(), gp[1], -1.0),
-        (p, divv.mean(), -gamma),
+        (p, divv.mean(), -params.gamma),
     ]
+    return dv, dsigma, dp, [(params.gamma - 1.0) * factor(diag.Q).mean()]
+
+
+def _oracle_velocity(state):
+    v1, v2 = factor(state.v.component(0)), factor(state.v.component(1))
+    return v1, v2, v1.dx() + v2.dy()
+
+
+def _oracle_rhs(state, params):
+    """(dv, dsigma, dp) nodal arrays of the full tendency, unmerged."""
+    ws = ProductWorkspace(state.grid)
+    diag = _oracle_diagnostics(state, params, ws)
+    velocity = _oracle_velocity(state)
+    dv, dsigma, dp, dp_plain = _oracle_sources(state, params, diag, *velocity)
+    dv_lin, dsigma_lin, eps_sigma, eps_p = _oracle_linear(
+        state, params, state.sigma, *velocity
+    )
     return (
-        np.stack([_nodal(ws, t, []) for t in dv]),
-        _nodal(ws, dsigma, eps_sigma),
-        _nodal(ws, dp, [(gamma - 1.0) * factor(diag.Q).mean()] + eps_p),
+        np.stack([_nodal(ws, t + lin, []) for t, lin in zip(dv, dv_lin)]),
+        _nodal(ws, dsigma + dsigma_lin, eps_sigma),
+        _nodal(ws, dp, dp_plain + eps_p),
         diag,
     )
 
@@ -170,6 +179,22 @@ def test_frozen_tendency_matches_unmerged_products(grid, eps):
     _assert_close(tend.dv.data, dv)
     _assert_close(tend.dsigma.data, _nodal(ws, dsigma_lin, eps_sigma + [n2]))
     _assert_close(tend.dp.data, _nodal(ws, [], eps_p + [n3]))
+
+
+def test_frozen_sources_match_unexpanded_sources(grid):
+    """N_1, N_2, N_3 against the oracle's sources; eps is set, so an eps
+    term leaking into the sources would show."""
+    params = PhysParams(lam=0.3, epsilon=1e-2)
+    state = make_initial("smooth-random", grid, params, amplitude=0.2, seed=7)
+    ws = ProductWorkspace(grid)
+    diag = _oracle_diagnostics(state, params, ws)
+    dv, dsigma, dp, dp_plain = _oracle_sources(
+        state, params, diag, *_oracle_velocity(state)
+    )
+    n1, n2, n3 = frozen_sources(state, params, tol_bc=np.inf)
+    _assert_close(n1.data, np.stack([_nodal(ws, t, []) for t in dv]))
+    _assert_close(n2.data, _nodal(ws, dsigma, []))
+    _assert_close(n3.data, _nodal(ws, dp, dp_plain))
 
 
 def test_rhs_synthesizes_sixteen_3d_factors(monkeypatch):

@@ -8,19 +8,12 @@ from cpelab import (
     PhysParams,
     PressurePositivityLost,
     ScalarField2D,
-    ScalarField3D,
     SigmaPositivityLost,
-    State,
     frozen_sources,
-    compute_diagnostics,
     make_initial,
-    phi1,
-    phi2,
-    phi3,
     regularized_tendency,
 )
 from cpelab.fields import constant_state
-from cpelab.spectral import ddx, ddy, dealiased_sum
 
 PHI3_CONST = 1.9739208802178717  # 0.2 * pi^2
 
@@ -31,8 +24,9 @@ def a_state(grid16, params):
 
 
 def test_phi1_closed_form(grid16, params, a_state):
-    """Only -w dz(v) survives: -(pi^2/14) sin(2 pi z) sin(pi z) e1."""
-    f = phi1(a_state.v, a_state.sigma, a_state.p, params)
+    """N_1 is Phi_1, where only -w dz(v) survives:
+    -(pi^2/14) sin(2 pi z) sin(pi z) e1."""
+    f, _, _ = frozen_sources(a_state, params)
     _, _, Z = grid16.mesh3d()
     want = -(np.pi**2) / 14 * np.sin(2 * np.pi * Z) * np.sin(np.pi * Z)
     np.testing.assert_allclose(f.component(0).data, want, atol=1e-11)
@@ -40,7 +34,8 @@ def test_phi1_closed_form(grid16, params, a_state):
 
 
 def test_phi2_closed_form(grid16, params, a_state):
-    f = phi2(a_state.v, a_state.sigma, a_state.p, params)
+    """N_2 is Phi_2 here (sigma is constant): -(pi^2/7) cos(2 pi z)."""
+    _, f, _ = frozen_sources(a_state, params)
     _, _, Z = grid16.mesh3d()
     np.testing.assert_allclose(
         f.data, -(np.pi**2) / 7 * np.cos(2 * np.pi * Z), atol=1e-11
@@ -48,7 +43,8 @@ def test_phi2_closed_form(grid16, params, a_state):
 
 
 def test_phi3_closed_form(params, a_state):
-    f = phi3(a_state.v, a_state.p, params)
+    """N_3 is Phi_3 here (p is constant): 0.2 pi^2."""
+    _, _, f = frozen_sources(a_state, params)
     np.testing.assert_allclose(f.data, PHI3_CONST, rtol=1e-12)
 
 
@@ -86,27 +82,13 @@ def test_tendency_parities(random_state, params):
     assert isinstance(tend.dp, ScalarField2D)
 
 
-def test_frozen_sources_subtract_advection(grid16, params, random_state):
-    diag = compute_diagnostics(random_state, params)
-    n1, n2, n3 = frozen_sources(random_state, params, diag)
-    f1 = phi1(random_state.v, random_state.sigma, random_state.p, params, diag)
-    np.testing.assert_allclose(n1.data, f1.data, atol=1e-13)
-    f2 = phi2(random_state.v, random_state.sigma, random_state.p, params, diag)
-    adv = (
-        dealiased_sum([(random_state.v.component(0), ddx(random_state.sigma))]).data
-        + dealiased_sum([(random_state.v.component(1), ddy(random_state.sigma))]).data
-    )
-    np.testing.assert_allclose(n2.data, f2.data - adv, atol=1e-12)
-
-
 def test_frozen_sources_example_a(grid16, params, a_state):
-    """sigma and p are constant, so the advection corrections vanish."""
-    n1, n2, n3 = frozen_sources(a_state, params)
-    _, _, Z = grid16.mesh3d()
-    np.testing.assert_allclose(
-        n2.data, -(np.pi**2) / 7 * np.cos(2 * np.pi * Z), atol=1e-11
-    )
-    np.testing.assert_allclose(n3.data, PHI3_CONST, rtol=1e-11)
+    """sigma and p are constant, so the transport, nu dzz sigma and
+    eps Lap_h terms vanish: N_2 and N_3 are the full dsigma and dp."""
+    _, n2, n3 = frozen_sources(a_state, params)
+    tend = regularized_tendency(a_state, params)
+    np.testing.assert_allclose(n2.data, tend.dsigma.data, atol=1e-12)
+    np.testing.assert_allclose(n3.data, tend.dp.data, atol=1e-12)
 
 
 def test_epsilon_term_enters_linearly(grid16, random_state):
