@@ -21,6 +21,10 @@ from .integrators import RunOptions
 from .params import PhysParams
 
 
+def _positive(*values: float) -> bool:
+    return all(math.isfinite(v) and v > 0.0 for v in values)
+
+
 @dataclass(frozen=True)
 class InitialSpec:
     family: str = "constant"
@@ -34,6 +38,12 @@ class EpsSweepSpec:
     eps: tuple[float, ...] = (1e-2, 1e-3, 1e-4)
     T: float = 0.05
 
+    def __post_init__(self):
+        if not all(math.isfinite(e) and e >= 0.0 for e in self.eps):
+            raise ConstraintFault("eps", "each must be finite and >= 0")
+        if not _positive(self.T):
+            raise ConstraintFault("T", "must be finite and positive")
+
 
 @dataclass(frozen=True)
 class PerturbSpec:
@@ -41,6 +51,13 @@ class PerturbSpec:
     T: float = 0.02
     direction_seed: int = 1
     direction_band: tuple[int, int, int] = (2, 2, 2)
+
+    def __post_init__(self):
+        # the dissipation slope is a fit over log(delta)
+        if len(set(self.deltas)) < 2 or not _positive(*self.deltas):
+            raise ConstraintFault("deltas", "need 2+ distinct values, finite and > 0")
+        if not _positive(self.T):
+            raise ConstraintFault("T", "must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -55,6 +72,14 @@ class MmsSpec:
     floor: float = 1e-12
 
     def __post_init__(self):
+        # three or more, distinct: the order estimate divides by log(dt ratios)
+        if len(set(self.dts)) < max(3, len(self.dts)) or not _positive(*self.dts):
+            raise ConstraintFault(
+                "dts", "need three dt values or more, distinct, finite and > 0"
+            )
+        for key in ("T_temporal", "dt_spatial", "T_spatial"):
+            if not _positive(getattr(self, key)):
+                raise ConstraintFault(key, "must be finite and positive")
         # each size n makes a Grid(n, n, n)
         for key, sizes in (("n_temporal", (self.n_temporal,)), ("ns", self.ns)):
             if any(n < 8 or n % 2 for n in sizes):
@@ -71,6 +96,8 @@ class PicardSpec:
     max_levels: int = 4
 
     def __post_init__(self):
+        if not _positive(self.T):
+            raise ConstraintFault("T", "must be finite and positive")
         if self.max_iter < 1:
             raise ConstraintFault("max_iter", "must be >= 1")
         if not (math.isfinite(self.factor) and self.factor > 1.0):

@@ -21,7 +21,7 @@ from .fields import (
     constant_state,
 )
 from .grid import Grid
-from .norms import sobolev_norm
+from .norms import _state_sq_norm
 from .params import PhysParams
 from .spectral import random_band_limited_2d, random_band_limited_3d
 
@@ -84,12 +84,8 @@ def perturbation_direction(
     )
     ds = random_band_limited_3d(grid, rng, band)
     dp = random_band_limited_2d(grid, rng, band[:2])
-    v = VectorField3D2C(grid, dv, COS)
-    size = math.sqrt(
-        sobolev_norm(v, 1) ** 2
-        + sobolev_norm(ds, 0) ** 2
-        + sobolev_norm(dp, 1) ** 2
-    )
+    raw = State(VectorField3D2C(grid, dv, COS), ds, dp)
+    size = math.sqrt(_state_sq_norm(raw, (1, 0, 1)))
     return State(
         VectorField3D2C(grid, dv / size, COS),
         ScalarField3D(grid, ds.data / size, COS),

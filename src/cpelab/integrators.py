@@ -25,7 +25,7 @@ from .diagnostics import (
 )
 from .errors import ConstraintFault, CpeError, NoContraction, StabilityFault
 from .fields import ScalarField2D, ScalarField3D, State, VectorField3D2C
-from .norms import EnergyReport, energy_report, nodal_l2, sobolev_norm
+from .norms import EnergyReport, _state_sq_norm, energy_report, nodal_l2
 from .params import PhysParams
 from .parabolic import advance_coupled_linear
 from .spectral import ProductWorkspace
@@ -100,6 +100,13 @@ def stable_dt(
     return cfl / denom
 
 
+def _divide(T: float, dt: float) -> tuple[int, float]:
+    """The fewest equal steps, no longer than dt up to roundoff, that make up
+    T: their number and length."""
+    n_steps = max(1, math.ceil(T / dt - 1e-12))
+    return n_steps, T / n_steps
+
+
 def _with_forcing(tend: StateTendency, forcing, t: float, grid) -> StateTendency:
     if forcing is None:
         return tend
@@ -148,7 +155,7 @@ def advance(
         w_def, phi_def = boundary_defects(diag)
         reports.append(
             energy_report(
-                s, params, mass=total_mass(s.sigma), w_defect=w_def, phi_defect=phi_def
+                s, mass=total_mass(s.sigma), w_defect=w_def, phi_defect=phi_def
             )
         )
 
@@ -157,8 +164,7 @@ def advance(
         # (workspace, diagnostics) of the state the next step starts from
         start = evaluate(state)
         dt = opts.dt or stable_dt(state, params, opts.cfl, start[1])
-        n_steps = max(1, math.ceil(opts.t_final / dt - 1e-12))
-        dt = opts.t_final / n_steps
+        n_steps, dt = _divide(opts.t_final, dt)
         record(state, start[1])
         for n in range(n_steps):
             try:
@@ -219,18 +225,7 @@ class PicardResult:
 
 
 def _trajectory_delta(a: list[State], b: list[State]) -> float:
-    worst = 0.0
-    for sa, sb in zip(a, b):
-        dv = VectorField3D2C(sa.grid, sa.v.data - sb.v.data, sa.v.parity)
-        ds = ScalarField3D(sa.grid, sa.sigma.data - sb.sigma.data, sa.sigma.parity)
-        dp = ScalarField2D(sa.grid, sa.p.data - sb.p.data)
-        val = math.sqrt(
-            sobolev_norm(dv, 3) ** 2
-            + sobolev_norm(ds, 3) ** 2
-            + sobolev_norm(dp, 3) ** 2
-        )
-        worst = max(worst, val)
-    return worst
+    return max(math.sqrt(_state_sq_norm(sa, (3, 3, 3), sb)) for sa, sb in zip(a, b))
 
 
 MEMORY_BUDGET_BYTES = 8e8
@@ -261,8 +256,7 @@ def picard_solve(
         ws = ProductWorkspace(initial.grid)
         diag = compute_diagnostics(initial, params, ws, tol_bc)
         dt = stable_dt(initial, params, diag=diag)
-        n_steps = max(1, math.ceil(T / dt - 1e-12))
-        dt = T / n_steps
+        n_steps, dt = _divide(T, dt)
 
         state_bytes = (
             initial.v.data.nbytes + initial.sigma.data.nbytes + initial.p.data.nbytes

@@ -93,21 +93,11 @@ class EnergyReport:
 
 
 def energy_report(
-    state,
-    params,
-    *,
-    mass: float,
-    w_defect: float,
-    phi_defect: float,
+    state, *, mass: float, w_defect: float, phi_defect: float
 ) -> EnergyReport:
-    e = (
-        sobolev_norm(state.v, 3) ** 2
-        + sobolev_norm(state.sigma, 2) ** 2
-        + sobolev_norm(state.p, 3) ** 2
-    )
     return EnergyReport(
         t=state.t,
-        energy=e,
+        energy=_state_sq_norm(state, (3, 2, 3)),
         min_sigma=float(state.sigma.data.min()),
         min_p=float(state.p.data.min()),
         mass=mass,
@@ -123,15 +113,44 @@ def nodal_l2(*fields) -> float:
     return sum(math.sqrt(float(np.square(f.data).sum())) for f in fields)
 
 
+def _state_sq_norm(a, orders: tuple[int, int, int], b=None) -> float:
+    """||v||_{H^kv}^2 + ||sigma||_{H^ks}^2 + ||p||_{H^kp}^2 of the state ``a``,
+    or of the gap a - b, for orders (kv, ks, kp)."""
+    fields = (a.v, a.sigma, a.p)
+    if b is not None:
+        g = a.grid
+        fields = (
+            VectorField3D2C(g, a.v.data - b.v.data, a.v.parity),
+            ScalarField3D(g, a.sigma.data - b.sigma.data, a.sigma.parity),
+            ScalarField2D(g, a.p.data - b.p.data),
+        )
+    return sum(sobolev_norm(f, k) ** 2 for f, k in zip(fields, orders))
+
+
 def difference_norm(a, b) -> float:
     """H1 x L2 x H1 size of the gap between two states (the norm the
     uniqueness/continuous-dependence estimates are phrased in)."""
-    g = a.grid
-    dv = VectorField3D2C(g, a.v.data - b.v.data, a.v.parity)
-    ds = ScalarField3D(g, a.sigma.data - b.sigma.data, a.sigma.parity)
-    dp = ScalarField2D(g, a.p.data - b.p.data)
-    return math.sqrt(
-        sobolev_norm(dv, 1) ** 2
-        + sobolev_norm(ds, 0) ** 2
-        + sobolev_norm(dp, 1) ** 2
-    )
+    return math.sqrt(_state_sq_norm(a, (1, 0, 1), b))
+
+
+@lru_cache(maxsize=64)
+def _dissipation_weight(grid) -> np.ndarray:
+    """|k|^4 on each velocity component and (pi m)^2 on sigma, times the L2
+    weights of a cosine spectrum, stacked as ``gap_dissipation`` stacks."""
+    mz2 = (np.pi * grid.mz) ** 2
+    k4 = ((grid.kx**2)[:, None, None] + (grid.ky_half**2)[None, :, None] + mz2) ** 2
+    out = np.stack([k4, k4, np.broadcast_to(mz2, k4.shape)])
+    out *= _sobolev_weight(grid, COS, 0)
+    out.setflags(write=False)
+    return out
+
+
+def gap_dissipation(a, b) -> float:
+    """||lap v_d||_2^2 + ||dz sigma_d||_2^2 of the gap (v_d, sigma_d) = a - b,
+    one weighted sum of the gap's power spectrum (Parseval)."""
+    dv = a.v.data - b.v.data
+    gaps = (dv[0], dv[1], a.sigma.data - b.sigma.data)
+    spec = np.stack([spectrum(ScalarField3D(a.grid, d, COS)) for d in gaps])
+    power = spec.real**2 + spec.imag**2
+    power *= _dissipation_weight(a.grid)
+    return float(power.sum())

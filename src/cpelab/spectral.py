@@ -1,4 +1,4 @@
-"""Spectral transforms, derivatives, vertical calculus, dealiased products.
+"""Spectral transforms, lazy derivative factors, dealiased products.
 
 Conventions
 -----------
@@ -19,8 +19,9 @@ Products are coefficient-first. A ``ProductWorkspace`` analyses each field
 once, and a derivative factor (a ``Factor``: d/dx, d/dz, Laplacians, div_h,
 fluctuation, vertical average, ...) is the parent's coefficients times a
 multiplier, synthesized straight onto the fine grid: one z synthesis on the
-coarse horizontal spectrum, one fine inverse rfft2. The public derivatives
-are one trip through the same coefficients.
+coarse horizontal spectrum, one fine inverse rfft2. A derivative on the
+coarse grid is the same factor made nodal,
+``ProductWorkspace(grid).field(factor(f).dx())``.
 """
 
 from __future__ import annotations
@@ -280,66 +281,9 @@ def divergence(v: VectorField3D2C) -> Factor:
     return factor(v.component(0)).dx() + factor(v.component(1)).dy()
 
 
-# ---------------------------------------------------------------------------
-# public derivatives and vertical calculus: one trip through coefficients
-# ---------------------------------------------------------------------------
-
-
-def _evaluate(f: Factor):
-    return ProductWorkspace(f.grid).field(f)
-
-
-def ddx(f):
-    """Spectral d/dx; works for 2D and 3D scalar fields, preserves parity."""
-    return _evaluate(factor(f).dx())
-
-
-def ddy(f):
-    return _evaluate(factor(f).dy())
-
-
-def ddz(f: ScalarField3D) -> ScalarField3D:
-    """Spectral d/dz: cosine -> sine, sine -> cosine, zlin -> cosine (exact)."""
-    return _evaluate(factor(f).dz())
-
-
-def dzz(f: ScalarField3D) -> ScalarField3D:
-    """Second z-derivative of a cosine-parity field (stays cosine)."""
-    return _evaluate(factor(f).dzz())
-
-
-def laplacian_h(f):
-    """Horizontal Laplacian for 2D or 3D scalar fields."""
-    return _evaluate(factor(f).lap_h())
-
-
-def laplacian3(f: ScalarField3D) -> ScalarField3D:
-    """Full Laplacian (horizontal + vertical) of a cosine-parity field."""
-    return _evaluate(factor(f).lap3())
-
-
-def div_h(v: VectorField3D2C) -> ScalarField3D:
-    return _evaluate(divergence(v))
-
-
-def grad_h_2d(p: ScalarField2D) -> tuple[ScalarField2D, ScalarField2D]:
-    ws = ProductWorkspace(p.grid)
-    return ws.field(factor(p).dx()), ws.field(factor(p).dy())
-
-
 def vertical_average(f: ScalarField3D) -> ScalarField2D:
     r"""\bar f = \int_0^1 f dz, exact for the field's own interpolant."""
-    return _evaluate(factor(f).mean())
-
-
-def fluctuation(f: ScalarField3D) -> ScalarField3D:
-    r"""\tilde f = f - \bar f (cosine parity only; others never need it)."""
-    return _evaluate(factor(f).fluct())
-
-
-def vertical_cumulative_integral(f: ScalarField3D) -> ScalarField3D:
-    """F(z) = int_0^z f dz' per cosine mode: mode 0 -> a0*z, mode m -> sin/(m pi)."""
-    return _evaluate(factor(f).cumint())
+    return ProductWorkspace(f.grid).field(factor(f).mean())
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,19 @@ def test_bad_config_exits_2(tmp_path, capsys):
         ("[picard]\nmax_levels = 0\n", "error: picard.max_levels: must be >= 1"),
         ("[mms]\nn_temporal = 0\n", "error: mms.n_temporal: "),
         ("[mms]\nns = 7, 8\n", "error: mms.ns: "),
+        ("[picard]\nt = -1e-3\n", "error: picard.t: must be finite and positive"),
+        ("[picard]\nt = 0\n", "error: picard.t: must be finite and positive"),
+        ("[perturb]\ndeltas = 1e-3, -1e-4\n", "error: perturb.deltas: "),
+        ("[perturb]\ndeltas = 1e-3\n", "error: perturb.deltas: "),
+        ("[perturb]\ndeltas = 1e-3, 1e-3\n", "error: perturb.deltas: "),
+        ("[perturb]\nt = 0\n", "error: perturb.t: must be finite and positive"),
+        ("[mms]\ndts = 4e-4, 2e-4\n", "error: mms.dts: "),
+        ("[mms]\ndts = 4e-4, 2e-4, 0\n", "error: mms.dts: "),
+        ("[mms]\ndt_spatial = 0\n", "error: mms.dt_spatial: must be finite"),
+        ("[mms]\nt_temporal = 0\n", "error: mms.t_temporal: must be finite"),
+        ("[mms]\nt_spatial = -1\n", "error: mms.t_spatial: must be finite"),
+        ("[eps_sweep]\nt = 0\n", "error: eps_sweep.t: must be finite and positive"),
+        ("[eps_sweep]\neps = 1e-2, -1e-3\n", "error: eps_sweep.eps: "),
     ],
     ids=[
         "t_final",
@@ -133,6 +146,19 @@ def test_bad_config_exits_2(tmp_path, capsys):
         "max_levels",
         "n_temporal",
         "ns",
+        "picard_t-",
+        "picard_t0",
+        "deltas-",
+        "deltas1",
+        "deltas_equal",
+        "perturb_t0",
+        "dts2",
+        "dts0",
+        "dt_spatial",
+        "t_temporal",
+        "t_spatial",
+        "eps_sweep_t0",
+        "eps-",
     ],
 )
 def test_constraint_faults_name_the_full_key(tmp_path, capsys, text, message):

@@ -81,7 +81,7 @@ EVERY_KEY = {
     },
     "mms": {
         "case": ("B", "B"),
-        "dts": ("1e-3, 5e-4", (1e-3, 5e-4)),
+        "dts": ("1e-3, 5e-4, 2.5e-4", (1e-3, 5e-4, 2.5e-4)),
         "n_temporal": ("10", 10),
         "t_temporal": ("0.02", 0.02),
         "ns": ("8, 12", (8, 12)),

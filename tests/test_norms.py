@@ -1,5 +1,7 @@
 """Parseval Sobolev norms, the energy functional, difference norms."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,8 +10,10 @@ from hypothesis import strategies as st
 from cpelab import (
     COS,
     SIN,
+    Grid,
     ScalarField2D,
     ScalarField3D,
+    VectorField3D2C,
     energy_report,
     make_initial,
     perturbation_direction,
@@ -17,8 +21,9 @@ from cpelab import (
     sobolev_norm,
 )
 from cpelab.fields import constant_state
-from cpelab.norms import difference_norm
-from cpelab.spectral import random_band_limited_3d
+from cpelab.integrators import _trajectory_delta
+from cpelab.norms import difference_norm, gap_dissipation
+from cpelab.spectral import ProductWorkspace, factor, random_band_limited_3d
 
 COSX_H1_SQ = 39.478417604357434  # (2 pi)^2,  tools/oracles.py
 E_CONST = 78.956835208714869  # 2 (2 pi)^2
@@ -55,7 +60,7 @@ def test_constant_norm_is_volume(grid16):
 
 def test_constant_state_energy(grid16, params):
     st_ = constant_state(grid16)
-    rep = energy_report(st_, params, mass=0.0, w_defect=0.0, phi_defect=0.0)
+    rep = energy_report(st_, mass=0.0, w_defect=0.0, phi_defect=0.0)
     np.testing.assert_allclose(rep.energy, E_CONST, rtol=1e-13)
 
 
@@ -133,15 +138,64 @@ def _derivative_sum_sq(field, k):
 def test_sobolev_weight_matches_derivative_sum(shape):
     """The one-weight H^k sum equals the per-multi-index sum for cosine, sine
     and 2D fields, k = 0..4."""
-    from cpelab import Grid
-    from cpelab.spectral import ddz, random_band_limited_2d
+    from cpelab.spectral import random_band_limited_2d
 
     g = Grid(*shape)
     rng = np.random.default_rng(11)
     f = random_band_limited_3d(g, rng, (3, 3, 3))
-    fields = (f, ddz(f), random_band_limited_2d(g, rng, (3, 3)))
+    dz = ProductWorkspace(g).field(factor(f).dz())
+    fields = (f, dz, random_band_limited_2d(g, rng, (3, 3)))
     assert fields[1].parity == SIN
     for field in fields:
         for k in range(5):
             want = _derivative_sum_sq(field, k)
             np.testing.assert_allclose(sobolev_norm(field, k) ** 2, want, rtol=1e-13)
+
+
+STATE_SHAPES = [(12, 12, 12), (12, 16, 9), (8, 12, 11)]
+
+
+def _two_states(shape, params):
+    g = Grid(*shape)
+    a = make_initial("smooth-random", g, params, amplitude=0.1, seed=1)
+    b = make_initial("smooth-random", g, params, amplitude=0.1, seed=2)
+    gap = (
+        VectorField3D2C(g, a.v.data - b.v.data, COS),
+        ScalarField3D(g, a.sigma.data - b.sigma.data, COS),
+        ScalarField2D(g, a.p.data - b.p.data),
+    )
+    return a, b, gap
+
+
+@pytest.mark.parametrize("shape", STATE_SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_state_norms_equal_per_field_sums(shape, params):
+    """The energy, the difference norm and the Picard delta equal the
+    per-field sums of squared Sobolev norms, bit for bit."""
+    a, b, (dv, ds, dp) = _two_states(shape, params)
+    energy = (
+        sobolev_norm(a.v, 3) ** 2
+        + sobolev_norm(a.sigma, 2) ** 2
+        + sobolev_norm(a.p, 3) ** 2
+    )
+    rep = energy_report(a, mass=0.0, w_defect=0.0, phi_defect=0.0)
+    assert rep.energy == energy
+    h1l2h1 = math.sqrt(
+        sobolev_norm(dv, 1) ** 2 + sobolev_norm(ds, 0) ** 2 + sobolev_norm(dp, 1) ** 2
+    )
+    assert difference_norm(a, b) == h1l2h1
+    h3 = math.sqrt(
+        sobolev_norm(dv, 3) ** 2 + sobolev_norm(ds, 3) ** 2 + sobolev_norm(dp, 3) ** 2
+    )
+    assert _trajectory_delta([a, a], [a, b]) == h3
+
+
+@pytest.mark.parametrize("shape", STATE_SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_gap_dissipation_matches_nodal_route(shape, params):
+    """||lap v_d||^2 + ||dz sigma_d||^2 by one spectral sum equals the L2
+    norms of the nodal Laplacians and z-derivative of the gap."""
+    a, b, (dv, ds, _) = _two_states(shape, params)
+    g = a.grid
+    lap = [ProductWorkspace(g).field(factor(dv.component(i)).lap3()) for i in range(2)]
+    dz = ProductWorkspace(g).field(factor(ds).dz())
+    nodal = sum(sobolev_norm(f, 0) ** 2 for f in (*lap, dz))
+    np.testing.assert_allclose(gap_dissipation(a, b), nodal, rtol=1e-13, atol=0)
