@@ -15,7 +15,9 @@ from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 from .errors import ConstraintFault, ParseFault
+from .experiments import MMS_CASES
 from .grid import Grid
+from .ineq import KINDS
 from .initial import FAMILIES
 from .integrators import RunOptions
 from .params import PhysParams
@@ -72,6 +74,10 @@ class MmsSpec:
     floor: float = 1e-12
 
     def __post_init__(self):
+        if self.case not in MMS_CASES:
+            raise ConstraintFault(
+                "case", f"unknown case {self.case!r}; known: {', '.join(MMS_CASES)}"
+            )
         # three or more, distinct: the order estimate divides by log(dt ratios)
         if len(set(self.dts)) < max(3, len(self.dts)) or not _positive(*self.dts):
             raise ConstraintFault(
@@ -120,6 +126,13 @@ class IneqSpec:
     seed: int = 42
 
     def __post_init__(self):
+        unknown = [k for k in self.kinds if k not in KINDS]
+        if unknown:
+            raise ConstraintFault(
+                "kinds", f"unknown kind {unknown[0]!r}; known: {', '.join(KINDS)}"
+            )
+        if self.m < 0:
+            raise ConstraintFault("m", "must be >= 0")
         if self.trials < 1:
             raise ConstraintFault("trials", "must be >= 1")
 

@@ -79,7 +79,7 @@ def _a_osc(t, x, z, params: PhysParams):
     return (v1, 0.0, sig, p[..., 0]), (f_v1, 0.0, f_sig, f_p[..., 0])
 
 
-_CASES = {"constant": _constant, "A-osc": _a_osc}
+MMS_CASES = {"constant": _constant, "A-osc": _a_osc}
 
 
 def _nodal(term, shape) -> np.ndarray:
@@ -91,9 +91,9 @@ def mms_forcing(case: str, grid: Grid, params: PhysParams):
 
     Both evaluate on sparse meshes, so a term of (x, z) alone is computed
     on (nx, 1, nz+1) nodes and broadcast along y."""
-    solution = _CASES.get(case)
+    solution = MMS_CASES.get(case)
     if solution is None:
-        known = ", ".join(_CASES)
+        known = ", ".join(MMS_CASES)
         raise UsageFault(f"unknown manufactured case {case!r}; known: {known}")
     x, _, z = np.meshgrid(
         grid.x_nodes, grid.y_nodes, grid.z_nodes, indexing="ij", sparse=True

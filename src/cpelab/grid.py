@@ -9,23 +9,12 @@ properties of the basis. Products of band-limited fields are dealiased by
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ConstraintFault
-
-
-def fft_workers() -> int:
-    """Worker count for scipy.fft, capped by CPE_THREADS (0 = auto = 1)."""
-    raw = os.environ.get("CPE_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    return n if n > 0 else 1
 
 
 def _fine_size(n: int) -> int:

@@ -9,6 +9,11 @@ both scaled by 1/(2 nz) on analysis so synthesis is the bare kernel (again
 padding-invariant). Horizontal Nyquist rows/columns and the vertical mode
 m = nz are zeroed by every analysis.
 
+All four kernels are numpy.fft's. A DCT-I of n+1 values is the FFT of their
+even extension [a_0 .. a_n, a_{n-1} .. a_1], and a DST-I of n-1 values is i
+times the FFT of their odd extension [0, a, 0, -reversed(a)], each over 2n
+points; real data takes the real FFT.
+
 Products are formed on a 3/2 zero-padded grid in all directions and
 truncated back. Factors are padded in their own parity basis: sine-type
 fields resampled through a cosine transform would pick up O(1/nz) Gibbs
@@ -22,12 +27,15 @@ multiplier, synthesized straight onto the fine grid: one z synthesis on the
 coarse horizontal spectrum, one fine inverse rfft2. A derivative on the
 coarse grid is the same factor made nodal,
 ``ProductWorkspace(grid).field(factor(f).dx())``.
+
+A product is analysed back to the coarse grid horizontal-first: one fine
+rfft2, truncation to the coarse horizontal modes, and only then the z
+analysis, so it runs on the coarse lines rather than on every fine line.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import fft as sfft
 
 from .errors import NumericalFault, UsageFault
 from .fields import (
@@ -39,7 +47,7 @@ from .fields import (
     VectorField3D2C,
     _add_parity,
 )
-from .grid import Grid, fft_workers
+from .grid import Grid
 
 # ---------------------------------------------------------------------------
 # low-level kernels
@@ -47,19 +55,30 @@ from .grid import Grid, fft_workers
 
 
 def _dct1(a: np.ndarray) -> np.ndarray:
-    return sfft.dct(a, type=1, axis=-1, workers=fft_workers())
+    """DCT-I along the last axis: the FFT of the even extension."""
+    n = a.shape[-1] - 1
+    ext = np.concatenate([a, a[..., n - 1:0:-1]], axis=-1)
+    if np.iscomplexobj(a):
+        return np.fft.fft(ext, axis=-1)[..., : n + 1]
+    return np.fft.rfft(ext, axis=-1).real
 
 
 def _dst1(a: np.ndarray) -> np.ndarray:
-    return sfft.dst(a, type=1, axis=-1, workers=fft_workers())
+    """DST-I along the last axis: the FFT of the odd extension."""
+    n = a.shape[-1] + 1
+    zero = np.zeros_like(a[..., :1])
+    ext = np.concatenate([zero, a, zero, -a[..., ::-1]], axis=-1)
+    if np.iscomplexobj(a):
+        return 1j * np.fft.fft(ext, axis=-1)[..., 1:n]
+    return -np.fft.rfft(ext, axis=-1).imag[..., 1:n]
 
 
 def _rfft2(a: np.ndarray) -> np.ndarray:
-    return sfft.rfft2(a, axes=(0, 1), norm="forward", workers=fft_workers())
+    return np.fft.rfft2(a, axes=(0, 1), norm="forward")
 
 
 def _irfft2(a: np.ndarray, s: tuple[int, int]) -> np.ndarray:
-    return sfft.irfft2(a, s=s, axes=(0, 1), norm="forward", workers=fft_workers())
+    return np.fft.irfft2(a, s=s, axes=(0, 1), norm="forward")
 
 
 def _zero_h_nyquist(spec: np.ndarray, nx: int, ny: int) -> np.ndarray:
@@ -455,15 +474,17 @@ class ProductWorkspace:
     # -- product analysis back to the coarse grid --
 
     def reduce3(self, fine_nodal: np.ndarray, odd: bool) -> ScalarField3D:
+        # horizontal analysis first: the z analysis then runs on the coarse
+        # horizontal modes only
         g = self.grid
         fz = g.fine_nz
+        spec = _rfft2(fine_nodal)
+        coarse = _trunc_h(spec, g, (g.nx, g.ny // 2 + 1, fz + 1))
         if odd:
-            zc = sin_coeffs(fine_nodal, fz)[..., : g.nz - 1]
+            coarse = sin_coeffs(coarse, fz)[..., : g.nz - 1]
         else:
-            zc = cos_coeffs(fine_nodal, fz)[..., : g.nz + 1]
-            zc[..., g.nz] = 0.0
-        spec = _rfft2(zc)
-        coarse = _trunc_h(spec, g, (g.nx, g.ny // 2 + 1, zc.shape[-1]))
+            coarse = cos_coeffs(coarse, fz)[..., : g.nz + 1]
+            coarse[..., g.nz] = 0.0
         zc = _irfft2(coarse, (g.nx, g.ny))
         return self._seed(_from_z_amplitudes(g, zc, SIN if odd else COS), zc, coarse)
 

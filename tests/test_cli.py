@@ -127,6 +127,9 @@ def test_bad_config_exits_2(tmp_path, capsys):
         ("[mms]\nt_spatial = -1\n", "error: mms.t_spatial: must be finite"),
         ("[eps_sweep]\nt = 0\n", "error: eps_sweep.t: must be finite and positive"),
         ("[eps_sweep]\neps = 1e-2, -1e-3\n", "error: eps_sweep.eps: "),
+        ("[mms]\ncase = B\n", "error: mms.case: unknown case 'B'; known: "),
+        ("[ineq]\nkinds = CAL, FOO\n", "error: ineq.kinds: unknown kind 'FOO'; "),
+        ("[ineq]\nm = -1\n", "error: ineq.m: must be >= 0"),
     ],
     ids=[
         "t_final",
@@ -159,6 +162,9 @@ def test_bad_config_exits_2(tmp_path, capsys):
         "t_spatial",
         "eps_sweep_t0",
         "eps-",
+        "mms_case",
+        "ineq_kinds",
+        "ineq_m",
     ],
 )
 def test_constraint_faults_name_the_full_key(tmp_path, capsys, text, message):
@@ -168,21 +174,26 @@ def test_constraint_faults_name_the_full_key(tmp_path, capsys, text, message):
 
 
 def test_cli_import_leaves_sympy_unloaded():
-    """The library never imports sympy: not with the CLI, and not in a
-    manufactured-solution run, whose forcing is written in closed form."""
+    """The library never imports sympy or scipy: not with the CLI, not in a
+    manufactured-solution run, whose forcing is written in closed form, and
+    not in a run or an inequality trial, whose transforms are numpy.fft's."""
     probe = (
         "import sys, cpelab.cli\n"
-        "from cpelab import PhysParams\n"
+        "from cpelab import Grid, PhysParams, RunOptions, advance, make_initial\n"
         "from cpelab.experiments import mms_run\n"
+        "from cpelab.ineq import run_trials\n"
         "mms_run('A-osc', 8, 1e-4, 2e-4, PhysParams())\n"
-        "print('sympy' in sys.modules)"
+        "s = make_initial('smooth-random', Grid(12, 12, 12), PhysParams(), amplitude=0.05)\n"
+        "advance(s, PhysParams(), RunOptions(t_final=2e-3, dt=1e-3))\n"
+        "run_trials('CAL', 2, (2.0, float('inf'), 2.0, float('inf'), 2.0), 1, 2, 0)\n"
+        "print('sympy' in sys.modules, 'scipy' in sys.modules)"
     )
     src = str(Path(cpelab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 def test_picard_constant_converges_fast(tmp_path, capsys):

@@ -80,7 +80,7 @@ EVERY_KEY = {
         "direction_band": ("1, 2, 3", (1, 2, 3)),
     },
     "mms": {
-        "case": ("B", "B"),
+        "case": ("constant", "constant"),
         "dts": ("1e-3, 5e-4, 2.5e-4", (1e-3, 5e-4, 2.5e-4)),
         "n_temporal": ("10", 10),
         "t_temporal": ("0.02", 0.02),
