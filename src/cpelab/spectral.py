@@ -9,10 +9,15 @@ both scaled by 1/(2 nz) on analysis so synthesis is the bare kernel (again
 padding-invariant). Horizontal Nyquist rows/columns and the vertical mode
 m = nz are zeroed by every analysis.
 
-All four kernels are numpy.fft's. A DCT-I of n+1 values is the FFT of their
-even extension [a_0 .. a_n, a_{n-1} .. a_1], and a DST-I of n-1 values is i
-times the FFT of their odd extension [0, a, 0, -reversed(a)], each over 2n
-points; real data takes the real FFT.
+numpy.fft is used only horizontally (``rfft2``/``irfft2``). The vertical
+lines are short (nz+1 nodes, about 3nz/2 on the padded grid), so each z
+transform is one small product against a cached, read-only real matrix:
+cosine or sine, analysis or synthesis, keyed by the interval count and the
+number of modes. The matrices carry the 1/(2 nz) scaling, the zeroed mode
+nz, and, on the 3/2 grid, the zero padding of a synthesis and the truncation
+of an analysis. Complex lines (coarse horizontal spectra) go through them as
+(re, im) pairs. Cosine analysis is taken relative to a line's first node,
+so a line constant in z has exactly zero amplitudes above mode 0.
 
 Products are formed on a 3/2 zero-padded grid in all directions and
 truncated back. Factors are padded in their own parity basis: sine-type
@@ -35,6 +40,8 @@ analysis, so it runs on the coarse lines rather than on every fine line.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import NumericalFault, UsageFault
@@ -54,23 +61,75 @@ from .grid import Grid
 # ---------------------------------------------------------------------------
 
 
-def _dct1(a: np.ndarray) -> np.ndarray:
-    """DCT-I along the last axis: the FFT of the even extension."""
-    n = a.shape[-1] - 1
-    ext = np.concatenate([a, a[..., n - 1:0:-1]], axis=-1)
-    if np.iscomplexobj(a):
-        return np.fft.fft(ext, axis=-1)[..., : n + 1]
-    return np.fft.rfft(ext, axis=-1).real
+def _phase(nodes: int, modes: np.ndarray, n: int) -> np.ndarray:
+    """pi j m / n for nodes j (rows) and modes m (columns), with j m reduced
+    mod 2n in integers, so the table is symmetric in j and m."""
+    j = np.arange(nodes)[:, None]
+    return np.pi * ((j * modes[None, :]) % (2 * n)) / n
 
 
-def _dst1(a: np.ndarray) -> np.ndarray:
-    """DST-I along the last axis: the FFT of the odd extension."""
-    n = a.shape[-1] + 1
-    zero = np.zeros_like(a[..., :1])
-    ext = np.concatenate([zero, a, zero, -a[..., ::-1]], axis=-1)
+def _frozen(mat: np.ndarray) -> np.ndarray:
+    mat.flags.writeable = False
+    return mat
+
+
+@lru_cache(maxsize=64)
+def _cos_analysis(n: int, k: int) -> np.ndarray:
+    """Nodes 0..n to cosine amplitudes of modes 0..k-1: the DCT-I over n
+    intervals scaled by 1/(2n). The last mode, the coarse vertical Nyquist,
+    is zeroed."""
+    w = np.full(n + 1, 2.0)
+    w[[0, n]] = 1.0
+    mat = np.cos(_phase(n + 1, np.arange(k), n)) * (w / (2.0 * n))[:, None]
+    mat[:, k - 1] = 0.0
+    return _frozen(mat)
+
+
+@lru_cache(maxsize=64)
+def _cos_synthesis(n: int, k: int) -> np.ndarray:
+    """Cosine amplitudes of modes 0..k-1 to nodes 0..n (the bare DCT-I)."""
+    w = np.full(k, 2.0)
+    w[0] = 1.0
+    if k > n:
+        w[n] = 1.0
+    return _frozen(np.cos(_phase(k, np.arange(n + 1), n)) * w[:, None])
+
+
+@lru_cache(maxsize=64)
+def _sin_analysis(n: int, k: int) -> np.ndarray:
+    """Nodes 0..n to sine amplitudes of modes 1..k: the DST-I of the interior
+    nodes scaled by 1/(2n); the wall rows are exactly zero."""
+    mat = np.sin(_phase(n + 1, np.arange(1, k + 1), n)) / n
+    mat[[0, n]] = 0.0
+    return _frozen(mat)
+
+
+@lru_cache(maxsize=64)
+def _sin_synthesis(n: int, k: int) -> np.ndarray:
+    """Sine amplitudes of modes 1..k to nodes 0..n (the bare DST-I on the
+    interior); the wall columns are exactly zero."""
+    mat = 2.0 * np.sin(_phase(n + 1, np.arange(1, k + 1), n).T)
+    mat[:, [0, n]] = 0.0
+    return _frozen(mat)
+
+
+def _along_z(a: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """``a @ mat`` along the last axis. Complex lines go through the real
+    matrix as (re, im) pairs. Either way numpy makes one small product per
+    line batch, which OpenBLAS keeps on one thread."""
     if np.iscomplexobj(a):
-        return 1j * np.fft.fft(ext, axis=-1)[..., 1:n]
-    return -np.fft.rfft(ext, axis=-1).imag[..., 1:n]
+        pairs = a.view(float).reshape(a.shape + (2,))
+        out = np.matmul(mat.T, pairs).view(complex)
+        return out.reshape(a.shape[:-1] + (mat.shape[1],))
+    return a @ mat
+
+
+def _cos_amplitudes(a: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Cosine analysis relative to the first node, so that a line constant in
+    z gives exact zeros above mode 0."""
+    out = _along_z(a - a[..., :1], _cos_analysis(n, k))
+    out[..., 0] += a[..., 0]
+    return out
 
 
 def _rfft2(a: np.ndarray) -> np.ndarray:
@@ -88,25 +147,24 @@ def _zero_h_nyquist(spec: np.ndarray, nx: int, ny: int) -> np.ndarray:
 
 
 def cos_coeffs(a: np.ndarray, nz: int) -> np.ndarray:
-    """Cosine-mode amplitudes c[..., m], f_j = c_0 + 2 sum c_m cos + (-1)^j c_nz."""
-    c = _dct1(a) / (2.0 * nz)
-    c[..., nz] = 0.0  # vertical Nyquist
-    return c
+    """Cosine-mode amplitudes c[..., m], f_j = c_0 + 2 sum c_m cos + (-1)^j c_nz;
+    the vertical Nyquist c_nz is zeroed."""
+    return _cos_amplitudes(a, nz, nz + 1)
 
 
 def cos_nodal(c: np.ndarray) -> np.ndarray:
-    return _dct1(c)
+    n = c.shape[-1] - 1
+    return _along_z(c, _cos_synthesis(n, n + 1))
 
 
 def sin_coeffs(a: np.ndarray, nz: int) -> np.ndarray:
     """Sine-mode amplitudes s[..., m-1] for modes m = 1..nz-1 (interior data)."""
-    return _dst1(a[..., 1:-1]) / (2.0 * nz)
+    return _along_z(a, _sin_analysis(nz, nz - 1))
 
 
 def sin_nodal(s: np.ndarray) -> np.ndarray:
-    out = np.zeros(s.shape[:-1] + (s.shape[-1] + 2,))
-    out[..., 1:-1] = _dst1(s)
-    return out
+    n = s.shape[-1] + 1
+    return _along_z(s, _sin_synthesis(n, n - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -453,21 +511,18 @@ class ProductWorkspace:
         if f.kind == _2D:
             fine = _pad_h(spec, g, np.zeros((fx, fy // 2 + 1), dtype=complex))
             nodal = _irfft2(fine, (fx, fy))
-        elif f.kind == COS:
-            # z synthesis on the coarse horizontal spectrum, then one
-            # horizontal synthesis on the fine grid
-            zfine = np.zeros(spec.shape[:2] + (fz + 1,), dtype=complex)
-            zfine[..., : g.nz] = spec[..., : g.nz]
-            fine = np.zeros((fx, fy // 2 + 1, fz + 1), dtype=complex)
-            nodal = _irfft2(_pad_h(_dct1(zfine), g, fine), (fx, fy))
         else:
-            if f.kind == ZLIN:  # analysed in sine space, like its nodal data
-                spec = spec[..., :-1] + spec[..., -1:] * _ramp_sine(g.nz)
-            zfine = np.zeros(spec.shape[:2] + (fz - 1,), dtype=complex)
-            zfine[..., : g.nz - 1] = spec
+            # z synthesis on the coarse horizontal spectrum, onto the fine z
+            # nodes (mode nz dropped), then one horizontal synthesis on the
+            # fine grid
+            if f.kind == COS:
+                zfine = _along_z(spec[..., : g.nz], _cos_synthesis(fz, g.nz))
+            else:
+                if f.kind == ZLIN:  # analysed in sine space, like its nodal data
+                    spec = spec[..., :-1] + spec[..., -1:] * _ramp_sine(g.nz)
+                zfine = _along_z(spec, _sin_synthesis(fz, g.nz - 1))
             fine = np.zeros((fx, fy // 2 + 1, fz + 1), dtype=complex)
-            _pad_h(_dst1(zfine), g, fine[..., 1:-1])
-            nodal = _irfft2(fine, (fx, fy))
+            nodal = _irfft2(_pad_h(zfine, g, fine), (fx, fy))
         self._fine[key] = nodal
         return nodal
 
@@ -481,10 +536,9 @@ class ProductWorkspace:
         spec = _rfft2(fine_nodal)
         coarse = _trunc_h(spec, g, (g.nx, g.ny // 2 + 1, fz + 1))
         if odd:
-            coarse = sin_coeffs(coarse, fz)[..., : g.nz - 1]
-        else:
-            coarse = cos_coeffs(coarse, fz)[..., : g.nz + 1]
-            coarse[..., g.nz] = 0.0
+            coarse = _along_z(coarse, _sin_analysis(fz, g.nz - 1))
+        else:  # truncated to the coarse modes, mode nz zeroed
+            coarse = _cos_amplitudes(coarse, fz, g.nz + 1)
         zc = _irfft2(coarse, (g.nx, g.ny))
         return self._seed(_from_z_amplitudes(g, zc, SIN if odd else COS), zc, coarse)
 

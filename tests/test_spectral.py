@@ -308,17 +308,19 @@ def test_factor_rejects_mixed_kinds(grid12):
 
 @pytest.mark.filterwarnings("ignore::cpelab.QNegativityWarning")
 def test_rhs_transform_budget(grid12, params, monkeypatch):
-    """One 12^3 RHS (with its diagnostics) makes at most 74 numpy.fft calls;
-    the initial state is built before the count starts."""
+    """One 12^3 RHS (with its diagnostics) makes at most 41 numpy.fft calls,
+    all of them horizontal (rfft2/irfft2): the z transforms are matrix
+    products. The initial state is built before the count starts."""
     state = make_initial("smooth-random", grid12, params, amplitude=0.1, seed=0)
     calls = []
-    for name in ("fft", "rfft", "rfft2", "irfft2"):
+    for name in ("fft", "ifft", "rfft", "irfft", "rfft2", "irfft2"):
         fn = getattr(np.fft, name)
 
-        def counted(*args, _fn=fn, **kwargs):
-            calls.append(1)
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls.append(_name)
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
     regularized_tendency(state, params)
-    assert 0 < len(calls) <= 74
+    assert 0 < len(calls) <= 41
+    assert set(calls) == {"rfft2", "irfft2"}

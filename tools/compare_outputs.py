@@ -11,7 +11,9 @@ with the same relative paths, in a fresh temporary folder per tree.
 
 For every output file, and for stdout, stderr and the exit code, one line
 says ``identical``; a CSV that differs gets the worst relative deviation of
-each column, any other file or stream that differs is reported as such.
+each column, and for a column that differs by finite amounts also its worst
+absolute deviation and largest magnitude (``w_defect 0.906 (abs 2.6e-18, max
+5.7e-18)``); any other file or stream that differs is reported as such.
 The exit code is 1 if anything differs and 0 otherwise.
 """
 
@@ -54,23 +56,36 @@ CASES = (
 )
 
 
-def _relative(x: str, y: str) -> float:
-    """|x - y| / max(|x|, |y|) of two CSV cells; inf if either is not a
-    number or the deviation is not finite."""
+def _deviation(x: str, y: str) -> tuple[float, float]:
+    """|x - y| / max(|x|, |y|) and |x - y| of two CSV cells; each is inf if
+    either cell is not a number or the deviation is not finite."""
     try:
         a, b = float(x), float(y)
     except ValueError:
-        return math.inf
+        return math.inf, math.inf
     if a == b:
+        return 0.0, 0.0
+    dev = abs(a - b)
+    if not math.isfinite(dev):
+        return math.inf, math.inf
+    return dev / max(abs(a), abs(b)), dev
+
+
+def _magnitude(x: str) -> float:
+    """|x| of a CSV cell; 0.0 for text and non-finite numbers."""
+    try:
+        value = abs(float(x))
+    except ValueError:
         return 0.0
-    dev = abs(a - b) / max(abs(a), abs(b))
-    return dev if math.isfinite(dev) else math.inf
+    return value if math.isfinite(value) else 0.0
 
 
-def column_deviations(a: str, b: str) -> dict[str, float]:
-    """Worst relative deviation per column between two CSV texts (0.0 for a
-    column whose cells are all the same text). Tables whose headers or row
-    lengths differ map the single key "(shape)" to inf."""
+def column_stats(a: str, b: str) -> dict[str, tuple[float, float, float]]:
+    """Per column of two CSV texts: the worst relative deviation, the worst
+    absolute deviation (both 0.0 for a column whose cells are all the same
+    text), and the largest finite magnitude in either table. Tables whose
+    headers or row lengths differ map the single key "(shape)" to
+    (inf, inf, 0.0)."""
     rows_a = list(csv.reader(io.StringIO(a)))
     rows_b = list(csv.reader(io.StringIO(b)))
     header = rows_a[0] if rows_a else []
@@ -81,13 +96,28 @@ def column_deviations(a: str, b: str) -> dict[str, float]:
         and all(len(ra) == len(rb) == len(header) for ra, rb in zip(rows_a, rows_b))
     )
     if not same_shape:
-        return {"(shape)": math.inf}
-    worst = dict.fromkeys(header, 0.0)
+        return {"(shape)": (math.inf, math.inf, 0.0)}
+    stats = {name: [0.0, 0.0, 0.0] for name in header}
     for ra, rb in zip(rows_a[1:], rows_b[1:]):
         for name, x, y in zip(header, ra, rb):
+            worst = stats[name]
+            worst[2] = max(worst[2], _magnitude(x), _magnitude(y))
             if x != y:
-                worst[name] = max(worst[name], _relative(x, y))
-    return worst
+                rel, dev = _deviation(x, y)
+                worst[0] = max(worst[0], rel)
+                worst[1] = max(worst[1], dev)
+    return {name: tuple(worst) for name, worst in stats.items()}
+
+
+def describe_column(name: str, stats: tuple[float, float, float]) -> str:
+    """``name rel``, and for a column that differs by finite amounts also
+    its worst absolute deviation and largest magnitude, so a roundoff-floor
+    column reads apart from a real change: ``w 0.906 (abs 2.6e-18, max
+    5.7e-18)``."""
+    rel, dev, peak = stats
+    if rel == 0.0 or not math.isfinite(dev):
+        return f"{name} {rel:.3g}"
+    return f"{name} {rel:.3g} (abs {dev:.2g}, max {peak:.2g})"
 
 
 def _run_all(tree: Path, work: Path) -> dict[str, dict[str, bytes]]:
@@ -132,8 +162,8 @@ def _compare(name: str, a: dict[str, bytes], b: dict[str, bytes]) -> bool:
         elif a[item] == b[item]:
             line = "identical"
         elif item.endswith(".csv"):
-            devs = column_deviations(a[item].decode(), b[item].decode())
-            line = "differs: " + ", ".join(f"{c} {d:.3g}" for c, d in devs.items())
+            stats = column_stats(a[item].decode(), b[item].decode())
+            line = "differs: " + ", ".join(describe_column(*s) for s in stats.items())
         else:
             line = "differs"
         same = same and line == "identical"
